@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_i8.hpp"
 #include "tensor/im2col.hpp"
@@ -27,6 +28,12 @@ namespace {
     const Shape& in = conv.input_shape();
     return ConvGeometry{in.c, in.h, in.w, qc.config.ksize, qc.config.stride,
                         qc.config.pad};
+}
+
+/// 1x1 stride-1 unpadded convs multiply the quantized input directly; every
+/// other geometry is lowered to a col matrix first.
+[[nodiscard]] bool needs_lowering(const QuantizedConv& qc) noexcept {
+    return qc.config.ksize != 1 || qc.config.stride != 1 || qc.config.pad != 0;
 }
 
 }  // namespace
@@ -64,8 +71,7 @@ Int8Calibration QuantizedNetwork::calibrate(Network& net,
                 continue;
             }
             // The conv's input is the previous layer's output (the network
-            // input for layer 0). im2col only copies or zero-pads, so this
-            // max is exactly the col matrix's max.
+            // input for layer 0) — the tensor the quantized forward quantizes.
             const Tensor& in = i == 0 ? sample : net.layer(static_cast<int>(i) - 1).output();
             const float mx = max_abs_of(in.span());
             if (slot == calib.max_abs.size()) calib.max_abs.push_back(0.0f);
@@ -153,21 +159,25 @@ QuantizedNetwork::QuantizedNetwork(Network& net)
     : QuantizedNetwork(net, self_calibrate(net)) {}
 
 void QuantizedNetwork::ensure_scratch() {
+    std::size_t in_need = 0;
     std::size_t col_need = 0;
     std::size_t acc_need = 0;
     for (std::size_t qi = 0; qi < quantized_.size(); ++qi) {
         const QuantizedConv& qc = quantized_[qi];
         const ConvGeometry geo = live_geometry(qc, *convs_[qi]);
         const auto cols = static_cast<std::size_t>(geo.col_cols());
-        col_need = std::max(col_need, static_cast<std::size_t>(geo.col_rows()) * cols);
+        in_need = std::max(in_need, static_cast<std::size_t>(convs_[qi]->input_shape().chw()));
+        if (needs_lowering(qc)) {
+            col_need = std::max(col_need, static_cast<std::size_t>(geo.col_rows()) * cols);
+        }
         acc_need = std::max(acc_need, static_cast<std::size_t>(qc.config.filters) * cols);
     }
-    if (col_need <= col_i8_.size() && acc_need <= acc_.size()) return;
-    ++scratch_grows_;
-    if (col_need > col_i8_.size()) {
-        col_i8_.resize(col_need);
-        col_f32_.resize(col_need);
+    if (in_need <= in_i8_.size() && col_need <= col_i8_.size() && acc_need <= acc_.size()) {
+        return;
     }
+    ++scratch_grows_;
+    if (in_need > in_i8_.size()) in_i8_.resize(in_need);
+    if (col_need > col_i8_.size()) col_i8_.resize(col_need);
     if (acc_need > acc_.size()) acc_.resize(acc_need);
 }
 
@@ -177,33 +187,33 @@ void QuantizedNetwork::forward_quantized_conv(const QuantizedConv& qc,
     const ConvGeometry geo = live_geometry(qc, conv);
     const int out_hw = geo.col_cols();
     const int col_rows = geo.col_rows();
-    const std::int64_t col_size = static_cast<std::int64_t>(col_rows) * out_hw;
-    const bool is_1x1 = qc.config.ksize == 1 && qc.config.stride == 1 && qc.config.pad == 0;
+    const std::int64_t in_chw = input.shape().chw();
+    const std::int64_t out_chw = conv.output_shape().chw();
+    const auto requant_row = simd::kernels().requant_row;
     for (int b = 0; b < input.shape().n; ++b) {
-        const float* in_b = input.data() + static_cast<std::int64_t>(b) * input.shape().chw();
-        float* out_b = output.data() + static_cast<std::int64_t>(b) * conv.output_shape().chw();
-        // Lower to the col matrix (float), then quantize with the layer's
-        // static calibrated scale — no per-frame range sweep.
-        const float* col_f = in_b;
-        if (!is_1x1) {
-            im2col_mt(in_b, geo, col_f32_.data(), gemm_threads());
-            col_f = col_f32_.data();
+        // Quantize the input once with the layer's static calibrated scale,
+        // then lower the bytes: im2col only copies or zero-pads and
+        // quantize(0) == 0, so this col matrix is bit-identical to
+        // quantizing a float col matrix, at 1/ksize^2 of the quantize work.
+        quantize_buffer(input.data() + b * in_chw, in_chw, qc.input_scale, in_i8_.data());
+        const std::int8_t* col = in_i8_.data();
+        if (needs_lowering(qc)) {
+            im2col_mt(in_i8_.data(), geo, col_i8_.data(), gemm_threads());
+            col = col_i8_.data();
         }
-        quantize_buffer(col_f, col_size, qc.input_scale, col_i8_.data());
-        gemm_i8(qc.config.filters, out_hw, col_rows, qc.weights.data(), col_rows,
-                col_i8_.data(), out_hw, acc_.data(), out_hw);
-        // Fused requantize epilogue: dequantize + bias + activation in one
-        // pass with the precomputed per-channel multiplier.
+        gemm_i8(qc.config.filters, out_hw, col_rows, qc.weights.data(), col_rows, col,
+                out_hw, acc_.data(), out_hw);
+        // Requantize epilogue: acc * (scale_w[f] * scale_x) + bias per output
+        // row, then the activation over the whole item.
+        float* out_b = output.data() + b * out_chw;
         for (int f = 0; f < qc.config.filters; ++f) {
-            const float scale = qc.requant[static_cast<std::size_t>(f)];
-            const float bias = qc.biases[static_cast<std::size_t>(f)];
-            const std::int32_t* arow = acc_.data() + static_cast<std::int64_t>(f) * out_hw;
-            float* orow = out_b + static_cast<std::int64_t>(f) * out_hw;
-            for (int j = 0; j < out_hw; ++j) {
-                orow[j] = activate(qc.config.activation,
-                                   static_cast<float>(arow[j]) * scale + bias);
-            }
+            requant_row(acc_.data() + static_cast<std::int64_t>(f) * out_hw,
+                        static_cast<std::size_t>(out_hw), qc.requant[static_cast<std::size_t>(f)],
+                        qc.biases[static_cast<std::size_t>(f)],
+                        out_b + static_cast<std::int64_t>(f) * out_hw);
         }
+        apply_activation(qc.config.activation,
+                         std::span<float>(out_b, static_cast<std::size_t>(out_chw)));
     }
 }
 

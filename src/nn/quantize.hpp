@@ -2,25 +2,31 @@
 //
 // Implements the paper's §V future-work item ("reduce bitwidth precisions"):
 // per-output-channel symmetric int8 weight quantization plus *calibrated*
-// static per-layer activation scales, with int32 accumulation and a fused
-// requantize epilogue (one combined multiplier per output channel). Max-pool
-// and region layers (negligible compute) stay in float, as does the detection
-// decode, so accuracy loss is isolated to the conv arithmetic.
+// static per-layer activation scales, with int32 accumulation and one
+// combined requantize multiplier per output channel. Max-pool and region
+// layers stay in float, as does the detection decode, so accuracy loss is
+// isolated to the conv arithmetic.
 //
-// Calibration replaces the old dynamic per-tensor scheme (a full
-// quantization_scale + quantize_buffer sweep of every col matrix, every
-// layer, every frame): a calibration pass runs float forwards over a sample
-// set and records each conv layer's input activation range. Because im2col
-// only copies or zero-pads, max|col matrix| == max|input tensor|, so the
-// recorded input maximum IS the col-matrix maximum and the baked scale is
-// exact, not approximate.
+// Calibration runs float forwards over a sample set and records each conv
+// layer's input activation range; the layer's static input scale is that
+// range / 127, so no frame ever pays a range sweep.
+//
+// Each conv layer runs, per batch item:
+//   1. quantize the layer's input once (quantize_buffer, input scale);
+//   2. lower the int8 input with im2col (1x1 stride-1 convs skip this);
+//   3. gemm_i8 of the int8 weights against that col matrix, into int32;
+//   4. requantize each output row (acc * requant[f] + bias[f]), then the
+//      layer's activation.
+// im2col only copies or zero-pads and quantize(0) == 0, so quantizing before
+// the lowering yields exactly the bytes of quantizing the float col matrix,
+// and the outputs equal that order's bit for bit (docs/quantization.md).
 //
 // The quantized forward is batch- and size-flexible: geometry derives
 // per-call from the source layer's live input shape (so Network::set_batch
 // and resize_input — the serving micro-batch and degrade paths — both work),
 // each batch item runs through per-item scratch, and integer arithmetic makes
-// batch-N outputs bit-identical per item to batch-1. Scratch follows PR 4's
-// grow-only policy; scratch_grows() counts reallocation for tests.
+// batch-N outputs bit-identical per item to batch-1. Scratch only ever grows;
+// scratch_grows() counts reallocations for tests.
 //
 // Usage:
 //   Network net = ...;                            // trained
@@ -116,9 +122,9 @@ class QuantizedNetwork {
     [[nodiscard]] std::size_t weight_bytes() const noexcept;
     [[nodiscard]] std::size_t float_weight_bytes() const noexcept;
 
-    /// Times the scratch buffers (col/acc) have grown since construction.
-    /// Stays 0 across forwards at construction-time-or-smaller geometry —
-    /// the serving tier's allocation-free guarantee (grow-only, PR 4).
+    /// Times the scratch buffers (int8 input, int8 col, int32 acc) have grown
+    /// since construction. Stays 0 across forwards at construction-time-or-
+    /// smaller geometry — the serving tier's allocation-free guarantee.
     [[nodiscard]] std::int64_t scratch_grows() const noexcept { return scratch_grows_; }
 
   private:
@@ -133,8 +139,8 @@ class QuantizedNetwork {
     std::vector<QuantizedConv> quantized_;  ///< one per conv layer, in order
     std::vector<const ConvolutionalLayer*> convs_;  ///< parallel to quantized_
     // Per-item scratch reused across layers and batch items (grow-only).
-    std::vector<std::int8_t> col_i8_;
-    std::vector<float> col_f32_;
+    std::vector<std::int8_t> in_i8_;   ///< the quantized layer input
+    std::vector<std::int8_t> col_i8_;  ///< its col matrix (lowered layers only)
     std::vector<std::int32_t> acc_;
     std::int64_t scratch_grows_ = 0;
 };

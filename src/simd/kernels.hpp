@@ -14,6 +14,10 @@
 //     reference loop); the AVX2 entry uses FMA and is tolerance-gated.
 //   * gemm_i8_row is pure integer arithmetic — results are bitwise identical
 //     across levels (memcmp-gated in test_quantize).
+//   * quantize_row performs the same IEEE divide, truncation, half bump and
+//     clamp at both levels, with NaN defined as 0; requant_row is one
+//     int->float conversion, a multiply and then an add (never fused). Both
+//     are bitwise identical across levels (memcmp-gated in test_simd).
 //   * floats_to_halfs / halfs_to_floats agree bitwise across levels for all
 //     finite values and infinities (RTNE both ways); NaN payloads may differ.
 #pragma once
@@ -45,6 +49,14 @@ struct KernelTable {
     /// bitwise identical across levels. Overflow-safe for k < 2^16.
     void (*gemm_i8_row)(const std::int8_t* a_row, const std::int8_t* b,
                         std::int64_t ldb, int k, int n, std::int32_t* c_row);
+    /// Symmetric int8 quantization: q = x[i] / scale rounded half away from
+    /// zero (trunc, then a +-1 bump when |q - trunc(q)| >= 0.5), clamped to
+    /// [-127, 127]. NaN -> 0; +-Inf -> +-127.
+    void (*quantize_row)(const float* x, std::size_t n, float scale,
+                         std::int8_t* out);
+    /// Requantize epilogue: out[i] = float(acc[i]) * scale + bias.
+    void (*requant_row)(const std::int32_t* acc, std::size_t n, float scale,
+                        float bias, float* out);
 };
 
 /// The table for the active dispatch level (dispatch.hpp).

@@ -16,6 +16,13 @@ namespace {
 /// Full 4x16 tile with FMA accumulators: 8 ymm accumulators (4 rows x 2
 /// halves), one B-row load pair amortized over four broadcast A values —
 /// the vector mirror of tensor/gemm.cpp's micro_full_direct/_packed.
+///
+/// Aligned to 64 bytes, which also fixes the offsets of this file's other
+/// non-template functions: the speed of the k loop depends on where it falls
+/// in the 64-byte instruction fetch windows. Left to the linker, code added
+/// anywhere before this file moved it by 16 bytes and cost the fp32
+/// DroNet@224 forward ~12%.
+__attribute__((aligned(64)))
 void gemm_micro_4x16_fma(const float* ap, const float* b, std::int64_t b_stride,
                          int k, float alpha, float beta, float* c,
                          std::int64_t ldc) {
@@ -108,6 +115,52 @@ void gemm_i8_row_avx2(const std::int8_t* a_row, const std::int8_t* b,
     }
 }
 
+/// Eight lanes of quantize_row_scalar's expression: the same divide, trunc,
+/// +-1 bump by copysign(1, q) where |q - t| >= 0.5, and clamp. NaN lanes are
+/// masked to 0 last (max/min would otherwise make them -127). Clamped lanes
+/// are integral, so the truncating conversion and saturating packs are exact.
+/// The n % 8 tail runs the scalar kernel itself.
+void quantize_row_avx2(const float* x, std::size_t n, float scale,
+                       std::int8_t* out) {
+    const __m256 vs = _mm256_set1_ps(scale);
+    const __m256 half = _mm256_set1_ps(0.5f);
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 lo = _mm256_set1_ps(-127.0f);
+    const __m256 hi = _mm256_set1_ps(127.0f);
+    const __m256 sign = _mm256_set1_ps(-0.0f);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 q = _mm256_div_ps(_mm256_loadu_ps(x + i), vs);
+        const __m256 t = _mm256_round_ps(q, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+        const __m256 frac = _mm256_andnot_ps(sign, _mm256_sub_ps(q, t));
+        const __m256 bump = _mm256_and_ps(_mm256_cmp_ps(frac, half, _CMP_GE_OQ),
+                                          _mm256_or_ps(one, _mm256_and_ps(sign, q)));
+        const __m256 clamped =
+            _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(t, bump), lo), hi);
+        const __m256i v = _mm256_cvttps_epi32(
+            _mm256_and_ps(clamped, _mm256_cmp_ps(q, q, _CMP_ORD_Q)));
+        const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(v),
+                                          _mm256_extracti128_si256(v, 1));
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), _mm_packs_epi16(w, w));
+    }
+    if (i < n) scalar_kernel_table()->quantize_row(x + i, n - i, scale, out + i);
+}
+
+/// Exact int32 -> float conversion (round-to-nearest, as cvtsi2ss), then a
+/// separate multiply and add — the scalar kernel's two roundings.
+void requant_row_avx2(const std::int32_t* acc, std::size_t n, float scale,
+                      float bias, float* out) {
+    const __m256 vs = _mm256_set1_ps(scale);
+    const __m256 vb = _mm256_set1_ps(bias);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 a = _mm256_cvtepi32_ps(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i)));
+        _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_mul_ps(a, vs), vb));
+    }
+    if (i < n) scalar_kernel_table()->requant_row(acc + i, n - i, scale, bias, out + i);
+}
+
 void floats_to_halfs_f16c(const float* src, std::uint16_t* dst, std::size_t n) {
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -141,6 +194,8 @@ constexpr KernelTable kAvx2Table = {
     halfs_to_floats_f16c,
     gemm_micro_4x16_fma,
     gemm_i8_row_avx2,
+    quantize_row_avx2,
+    requant_row_avx2,
 };
 
 }  // namespace

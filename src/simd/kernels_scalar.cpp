@@ -4,6 +4,7 @@
 #include "simd/kernels.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "simd/half.hpp"
 #include "simd/kernels_impl.hpp"
@@ -33,6 +34,29 @@ void gemm_i8_row_scalar(const std::int8_t* a_row, const std::int8_t* b,
     }
 }
 
+void quantize_row_scalar(const float* x, std::size_t n, float scale,
+                         std::int8_t* out) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const float q = x[i] / scale;
+        if (std::isnan(q)) {  // no integer value: defined as 0 at every level
+            out[i] = 0;
+            continue;
+        }
+        // Round half away from zero. q - trunc(q) is exact, and an Inf q
+        // gives NaN there, which fails the comparison and clamps below.
+        float t = std::trunc(q);
+        if (std::fabs(q - t) >= 0.5f) t += std::copysign(1.0f, q);
+        out[i] = static_cast<std::int8_t>(std::clamp(t, -127.0f, 127.0f));
+    }
+}
+
+void requant_row_scalar(const std::int32_t* acc, std::size_t n, float scale,
+                        float bias, float* out) {
+    for (std::size_t i = 0; i < n; ++i) {
+        out[i] = static_cast<float>(acc[i]) * scale + bias;
+    }
+}
+
 constexpr KernelTable kScalarTable = {
     impl::copy_row<VecScalar>,
     impl::add_bias_row<VecScalar>,
@@ -45,6 +69,8 @@ constexpr KernelTable kScalarTable = {
     halfs_to_floats_scalar,
     nullptr,  // gemm_micro_4x16: scalar level keeps the reference loop
     gemm_i8_row_scalar,
+    quantize_row_scalar,
+    requant_row_scalar,
 };
 
 }  // namespace

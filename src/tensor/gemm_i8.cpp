@@ -40,6 +40,8 @@ void gemm_i8(int m, int n, int k, const std::int8_t* a, int lda,
 
 std::int8_t quantize_value(float x, float scale) noexcept {
     const float q = std::round(x / scale);
+    // Converting a NaN to an integer is undefined; define it as 0.
+    if (std::isnan(q)) return 0;
     return static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
 }
 
@@ -62,7 +64,8 @@ float quantization_scale(const float* x, std::int64_t n) {
 }
 
 void quantize_buffer(const float* x, std::int64_t n, float scale, std::int8_t* out) noexcept {
-    for (std::int64_t i = 0; i < n; ++i) out[i] = quantize_value(x[i], scale);
+    if (n <= 0) return;
+    simd::kernels().quantize_row(x, static_cast<std::size_t>(n), scale, out);
 }
 
 }  // namespace dronet

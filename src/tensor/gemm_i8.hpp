@@ -20,7 +20,9 @@ namespace dronet {
 void gemm_i8(int m, int n, int k, const std::int8_t* a, int lda,
              const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
 
-/// Symmetric quantization helpers: q = clamp(round(x / scale), -127, 127).
+/// Symmetric quantization: q = clamp(round(x / scale), -127, 127), rounding
+/// half away from zero. ±Inf saturates to ±127; NaN (which has no integer
+/// value) maps to 0. The per-element reference for quantize_buffer.
 [[nodiscard]] std::int8_t quantize_value(float x, float scale) noexcept;
 
 /// Largest-magnitude-based scale for a buffer (returns a scale such that
@@ -31,7 +33,10 @@ void gemm_i8(int m, int n, int k, const std::int8_t* a, int lda,
 /// the first non-finite element instead.
 [[nodiscard]] float quantization_scale(const float* x, std::int64_t n);
 
-/// Quantizes `n` floats into `out` with the given scale.
+/// Quantizes `n` floats into `out` with the given scale, element for element
+/// equal to quantize_value (NaN -> 0 included). Dispatches to the simd
+/// kernel table's quantize_row — bitwise identical across levels — so
+/// weights and activations share one quantizer.
 void quantize_buffer(const float* x, std::int64_t n, float scale, std::int8_t* out) noexcept;
 
 }  // namespace dronet

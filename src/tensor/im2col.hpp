@@ -5,6 +5,8 @@
 // operation used by the backward pass during training.
 #pragma once
 
+#include <cstdint>
+
 namespace dronet {
 
 struct ConvGeometry {
@@ -37,6 +39,12 @@ void im2col(const float* im, const ConvGeometry& geo, float* col);
 /// layers pass set_gemm_threads() here so one knob controls both lowering
 /// and GEMM parallelism.
 void im2col_mt(const float* im, const ConvGeometry& geo, float* col, int ways);
+
+/// The same lowering over int8 (the quantized conv path, nn/quantize):
+/// im2col only copies or zero-pads and quantize(0) == 0, so lowering a
+/// quantized input gives exactly the bytes of quantizing the float col matrix.
+void im2col_mt(const std::int8_t* im, const ConvGeometry& geo, std::int8_t* col,
+               int ways);
 
 /// Adjoint of im2col: accumulates `col` back into `im` (im must be
 /// pre-initialized; contributions are added, matching gradient semantics).

@@ -1,9 +1,10 @@
 // INT8 quantization path (§V future-work extension): int8 GEMM correctness
 // and cross-SIMD-level bit-exactness, quantization helpers (including the
-// non-finite-input regression), calibrated QuantizedNetwork behavior across
+// non-finite-input regressions), calibrated QuantizedNetwork behavior across
 // batch sizes and input resolutions (allocation-free, bit-stable per item),
-// fuzzed degenerate weights through calibration, the int8 serving tier, and
-// the pretrained-checkpoint accuracy gate against fp32.
+// bit-exactness of the quantize-then-lower conv against the float-lowering
+// order, fuzzed degenerate weights through calibration, the int8 serving
+// tier, and the pretrained-checkpoint accuracy gate against fp32.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "analysis/numerics.hpp"
@@ -26,6 +28,7 @@
 #include "simd/dispatch.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_i8.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/rng.hpp"
 
 namespace dronet {
@@ -117,6 +120,20 @@ TEST(Quantization, ValueClamps) {
     EXPECT_EQ(quantize_value(1e9f, 1.0f), 127);
     EXPECT_EQ(quantize_value(-1e9f, 1.0f), -127);
     EXPECT_EQ(quantize_value(0.0f, 1.0f), 0);
+}
+
+TEST(Quantization, NonFiniteValuesHaveDefinedResults) {
+    // Regression: a NaN reached static_cast<int8_t> (undefined behaviour).
+    // NaN is defined as 0; infinities saturate like any out-of-range value.
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(quantize_value(std::numeric_limits<float>::quiet_NaN(), 0.5f), 0);
+    EXPECT_EQ(quantize_value(-std::numeric_limits<float>::quiet_NaN(), 0.5f), 0);
+    EXPECT_EQ(quantize_value(inf, 0.5f), 127);
+    EXPECT_EQ(quantize_value(-inf, 0.5f), -127);
+    const std::vector<float> x = {std::numeric_limits<float>::quiet_NaN(), inf, -inf, 1.0f};
+    std::vector<std::int8_t> q(x.size());
+    quantize_buffer(x.data(), static_cast<std::int64_t>(x.size()), 0.5f, q.data());
+    EXPECT_EQ(q, (std::vector<std::int8_t>{0, 127, -127, 2}));
 }
 
 TEST(Quantization, NonFiniteThrowsUnderNumericsChecks) {
@@ -270,6 +287,159 @@ TEST(QuantizedNetwork, ForwardIsAllocationFree) {
     rng.fill_uniform(big.span(), 0.0f, 1.0f);
     q.forward(big);
     EXPECT_GT(q.scratch_grows(), 0);
+
+    // The int8 input scratch is pre-sized too. A 1x1 conv on a wide input
+    // quantizes more bytes than its accumulators hold and lowers nothing, so
+    // here the input scratch is the largest buffer.
+    NetConfig nc;
+    nc.channels = 32;
+    nc.height = 16;
+    nc.width = 16;
+    nc.batch = 1;
+    Network wide(nc);
+    wide.add_conv({.filters = 2, .ksize = 1, .stride = 1, .pad = 0});
+    QuantizedNetwork qw(wide);
+    Tensor wide_in(wide.input_shape());
+    rng.fill_uniform(wide_in.span(), 0.0f, 1.0f);
+    qw.forward(wide_in);
+    EXPECT_EQ(qw.scratch_grows(), 0);
+    wide.set_batch(4);
+    Tensor wide_batch(wide.input_shape());
+    rng.fill_uniform(wide_batch.span(), 0.0f, 1.0f);
+    qw.forward(wide_batch);
+    EXPECT_EQ(qw.scratch_grows(), 0);
+    wide.set_batch(1);
+    wide.resize_input(8, 8);
+    Tensor wide_small(wide.input_shape());
+    rng.fill_uniform(wide_small.span(), 0.0f, 1.0f);
+    qw.forward(wide_small);
+    EXPECT_EQ(qw.scratch_grows(), 0);
+    wide.resize_input(24, 24);
+    Tensor wide_big(wide.input_shape());
+    rng.fill_uniform(wide_big.span(), 0.0f, 1.0f);
+    qw.forward(wide_big);
+    EXPECT_GT(qw.scratch_grows(), 0);
+}
+
+// ---- exactness of quantize-then-lower ---------------------------------------
+
+/// One conv layer in the order that lowers floats first, built from the
+/// scalar reference pieces: float im2col, quantize_value on every col element,
+/// gemm_i8, then activate(float(acc) * requant + bias) element by element.
+/// Returns the outputs of every batch item of `input`, concatenated.
+std::vector<float> reference_conv(const QuantizedConv& qc, const Tensor& input) {
+    const Shape& s = input.shape();
+    const ConvGeometry geo{s.c, s.h, s.w, qc.config.ksize, qc.config.stride, qc.config.pad};
+    const int rows = geo.col_rows();
+    const int cols = geo.col_cols();
+    const int filters = qc.config.filters;
+    std::vector<float> col(static_cast<std::size_t>(rows) * cols);
+    std::vector<std::int8_t> col_q(col.size());
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(filters) * cols);
+    std::vector<float> out;
+    for (int b = 0; b < s.n; ++b) {
+        im2col(input.data() + b * s.chw(), geo, col.data());
+        for (std::size_t i = 0; i < col.size(); ++i) {
+            col_q[i] = quantize_value(col[i], qc.input_scale);
+        }
+        gemm_i8(filters, cols, rows, qc.weights.data(), rows, col_q.data(), cols, acc.data(),
+                cols);
+        for (int f = 0; f < filters; ++f) {
+            const auto fi = static_cast<std::size_t>(f);
+            for (int j = 0; j < cols; ++j) {
+                const float x = static_cast<float>(acc[fi * static_cast<std::size_t>(cols) +
+                                                       static_cast<std::size_t>(j)]) *
+                                    qc.requant[fi] +
+                                qc.biases[fi];
+                out.push_back(activate(qc.config.activation, x));
+            }
+        }
+    }
+    return out;
+}
+
+/// Runs q.forward(input) under each SIMD level the host has, and memcmps
+/// every conv layer's output against reference_conv over that layer's own
+/// input.
+void expect_convs_match_reference(QuantizedNetwork& q, Network& net, const Tensor& input,
+                                  const std::string& what) {
+    std::vector<simd::SimdLevel> levels = {simd::SimdLevel::kScalar};
+    if (simd::cpu_supports_avx2()) levels.push_back(simd::SimdLevel::kAvx2);
+    for (const simd::SimdLevel level : levels) {
+        const simd::ScopedSimdLevel pin(level);
+        q.forward(input);
+        for (const QuantizedConv& qc : q.layers()) {
+            const Tensor& in =
+                qc.layer_index == 0 ? input : net.layer(qc.layer_index - 1).output();
+            const Tensor& got = net.layer(qc.layer_index).output();
+            const std::vector<float> want = reference_conv(qc, in);
+            ASSERT_EQ(static_cast<std::size_t>(got.size()), want.size());
+            EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)))
+                << what << ", " << simd::to_string(level) << ", conv layer "
+                << qc.layer_index;
+        }
+    }
+}
+
+/// Synthetic benchmark scenes resampled to the network's live input shape,
+/// one per batch item.
+Tensor scene_batch(const Network& net, std::uint64_t seed) {
+    Tensor batch(net.input_shape());
+    const DetectionDataset scenes =
+        generate_dataset(benchmark_scene_config(), batch.shape().n, seed);
+    (void)scenes.fill_batch(batch, 0);
+    return batch;
+}
+
+TEST(QuantizedExactness, PretrainedDroNetAt224MatchesFloatLowering) {
+    auto net = load_pretrained(ModelId::kDroNet);
+    if (!net) GTEST_SKIP() << "no DroNet checkpoint in weights/";
+    net->set_batch(1);
+    net->resize_input(224, 224);
+    QuantizedNetwork q(*net);
+    for (const int batch : {1, 4}) {
+        net->set_batch(batch);
+        expect_convs_match_reference(q, *net, scene_batch(*net, 0xD20),
+                                     "DroNet@224 batch " + std::to_string(batch));
+    }
+}
+
+TEST(QuantizedExactness, TinyYoloNetMatchesFloatLowering) {
+    Network net = build_model(ModelId::kTinyYoloNet, {.input_size = 96, .filter_scale = 0.25f});
+    QuantizedNetwork q(net);
+    for (const int batch : {1, 4}) {
+        net.set_batch(batch);
+        expect_convs_match_reference(q, net, scene_batch(net, 0x7E1),
+                                     "TinyYoloNet batch " + std::to_string(batch));
+    }
+}
+
+TEST(QuantizedExactness, StridedConvMatchesFloatLowering) {
+    // ksize 3 at stride 2 takes the int8 im2col's strided branch (pad 0: no
+    // zero taps; pad 1: zero taps on it). Odd sizes leave a ragged border,
+    // and inputs beyond the calibrated range saturate at +-127.
+    for (const int pad : {0, 1}) {
+        NetConfig nc;
+        nc.channels = 3;
+        nc.height = 17;
+        nc.width = 23;
+        nc.batch = 1;
+        nc.seed = 7;
+        Network net(nc);
+        net.add_conv({.filters = 6, .ksize = 3, .stride = 2, .pad = pad});
+        Rng rng(static_cast<std::uint64_t>(41 + pad));
+        Tensor calib(net.input_shape());
+        rng.fill_uniform(calib.span(), -1.0f, 1.0f);
+        QuantizedNetwork q(net, QuantizedNetwork::calibrate(net, std::span(&calib, 1)));
+        for (const int batch : {1, 4}) {
+            net.set_batch(batch);
+            Tensor in(net.input_shape());
+            rng.fill_uniform(in.span(), -1.5f, 1.5f);
+            expect_convs_match_reference(q, net, in,
+                                         "3x3/2 pad " + std::to_string(pad) + " batch " +
+                                             std::to_string(batch));
+        }
+    }
 }
 
 TEST(QuantizedNetwork, PerLayerConvToleranceAtDroNetStageShapes) {

@@ -1,13 +1,17 @@
 // Vectorized compute backend (src/simd): dispatch level control, the
-// bit-exactness contract of the row kernels across levels, and the
+// bit-exactness contract of the row kernels across levels (including the
+// int8 quantize and requantize kernels), and the
 // tolerance gate for the AVX2 FMA GEMM micro-kernel (which fuses each
 // multiply-add into one rounding and therefore may differ from the scalar
 // reference by accumulated ULPs, never more).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "simd/half.hpp"
 #include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_i8.hpp"
 #include "tensor/rng.hpp"
 
 namespace dronet {
@@ -113,6 +118,113 @@ TEST(SimdKernels, RowKernelsBitwiseEqualAcrossLevels) {
         avx2->copy_row(b.data(), base.data(), n);
         EXPECT_TRUE(bitwise_equal(a, b)) << "copy_row n=" << n;
     }
+}
+
+/// The kernel tables this build and CPU can run: scalar, plus AVX2 when
+/// available.
+std::vector<const simd::KernelTable*> available_tables() {
+    std::vector<const simd::KernelTable*> tables = {simd::scalar_kernel_table()};
+    if (simd::cpu_supports_avx2()) tables.push_back(simd::avx2_kernel_table());
+    return tables;
+}
+
+/// Inputs where a vector quantizer could drift from the scalar reference:
+/// +-(k + 0.5) * scale ties (exact when scale is a power of two), values past
+/// +-127 * scale, signed zeros, subnormals, infinities, NaNs and
+/// |x / scale| >= 2^23, then seeded noise.
+std::vector<float> quantizer_edge_inputs(float scale) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    std::vector<float> x = {0.0f, -0.0f, denorm, -denorm, FLT_MIN / 3.0f,
+                            -FLT_MIN / 3.0f, inf, -inf, nan, -nan,
+                            8388608.0f * scale, -8388608.0f * scale,
+                            8388609.0f * scale, -16777216.0f * scale,
+                            FLT_MAX, -FLT_MAX, 0.49999997f * scale,
+                            -0.49999997f * scale};
+    for (int k = -140; k <= 140; ++k) {
+        x.push_back((static_cast<float>(k) + 0.5f) * scale);
+        x.push_back(static_cast<float>(k) * scale);
+    }
+    Rng rng(404);
+    const std::vector<float> noise = random_vec(rng, 256, -200.0f * scale, 200.0f * scale);
+    x.insert(x.end(), noise.begin(), noise.end());
+    return x;
+}
+
+// quantize_row is the int8 path's one quantizer (weights and activations):
+// every level must reproduce quantize_value — round half away from zero,
+// clamp to +-127, NaN -> 0 — byte for byte, including vector tails, and
+// must never write past n.
+TEST(SimdKernels, QuantizeRowBitwiseEqualAcrossLevels) {
+    constexpr std::int8_t kSentinel = 0x55;
+    for (const float scale : {0.0625f, 0.037f}) {
+        const std::vector<float> x = quantizer_edge_inputs(scale);
+        std::vector<std::int8_t> want(x.size());
+        for (std::size_t i = 0; i < x.size(); ++i) want[i] = quantize_value(x[i], scale);
+        ASSERT_EQ(want[0], 0);
+        ASSERT_EQ(want[6], 127);   // +Inf saturates
+        ASSERT_EQ(want[7], -127);  // -Inf saturates
+        ASSERT_EQ(want[8], 0);     // NaN is defined as 0
+        for (const simd::KernelTable* table : available_tables()) {
+            std::vector<std::int8_t> got(x.size(), kSentinel);
+            table->quantize_row(x.data(), x.size(), scale, got.data());
+            EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size()))
+                << "scale " << scale << " whole buffer";
+            // Lengths 0-17 at several offsets: every tail length, at and
+            // around the 8-lane width.
+            for (const std::size_t offset : {0u, 3u, 9u, 300u}) {
+                for (std::size_t n = 0; n <= 17; ++n) {
+                    std::vector<std::int8_t> part(n + 8, kSentinel);
+                    table->quantize_row(x.data() + offset, n, scale, part.data());
+                    EXPECT_EQ(0, std::memcmp(part.data(), want.data() + offset, n))
+                        << "scale " << scale << " offset " << offset << " n " << n;
+                    for (std::size_t i = n; i < part.size(); ++i) {
+                        ASSERT_EQ(part[i], kSentinel) << "wrote past n=" << n;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// requant_row is the int8 conv epilogue: int32 -> float, then a multiply and
+// an add rounded separately. A fused or differently-rounded conversion shows
+// up on large and negative accumulators.
+TEST(SimdKernels, RequantRowBitwiseEqualAcrossLevels) {
+    if (!simd::cpu_supports_avx2()) {
+        GTEST_SKIP() << "CPU/build lacks AVX2; only one level to test";
+    }
+    const simd::KernelTable* scalar = simd::scalar_kernel_table();
+    const simd::KernelTable* avx2 = simd::avx2_kernel_table();
+    constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+    constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+    std::vector<std::int32_t> acc = {kMin, kMax,      kMin + 1,  kMax - 1, -1,
+                                     0,    1,         -16777217, 16777217, -16777215,
+                                     -3,   -1048577, 2147483520, -2147483520};
+    std::mt19937 gen(77);
+    std::uniform_int_distribution<std::int32_t> any(kMin, kMax);
+    std::uniform_int_distribution<std::int32_t> conv_range(-4'000'000, 4'000'000);
+    for (int i = 0; i < 512; ++i) acc.push_back(i % 2 == 0 ? any(gen) : conv_range(gen));
+    for (const auto [scale, bias] : {std::array<float, 2>{0.0123f, -0.5f},
+                                     std::array<float, 2>{1.7e-7f, 3.25f},
+                                     std::array<float, 2>{-2.5f, 0.0f}}) {
+        std::vector<float> a(acc.size(), -1.0f), b(acc.size(), -2.0f);
+        scalar->requant_row(acc.data(), acc.size(), scale, bias, a.data());
+        avx2->requant_row(acc.data(), acc.size(), scale, bias, b.data());
+        EXPECT_TRUE(bitwise_equal(a, b)) << "scale " << scale << " bias " << bias;
+        for (std::size_t n = 0; n <= 17; ++n) {
+            std::vector<float> pa(n + 8, -1.0f), pb(n + 8, -1.0f);
+            scalar->requant_row(acc.data() + 1, n, scale, bias, pa.data());
+            avx2->requant_row(acc.data() + 1, n, scale, bias, pb.data());
+            EXPECT_TRUE(bitwise_equal(pa, pb)) << "n " << n;
+            for (std::size_t i = n; i < pb.size(); ++i) ASSERT_EQ(pb[i], -1.0f) << "n " << n;
+        }
+    }
+    const std::int32_t two = 2;
+    float out = 0.0f;
+    avx2->requant_row(&two, 1, 0.5f, 1.0f, &out);
+    EXPECT_EQ(out, 2.0f);  // 2 * 0.5 + 1
 }
 
 // Property sweep: the AVX2 FMA micro-kernel against the scalar packed kernel
