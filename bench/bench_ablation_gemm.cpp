@@ -1,12 +1,11 @@
 // GEMM / convolution-lowering ablation (DESIGN.md §5, knobs 1-2): naive vs
-// blocked vs threaded GEMM on DroNet-shaped problems, spawn-per-call vs
-// persistent-pool sharding, and im2col+GEMM vs direct convolution — the
-// execution strategy darknet (and hence the paper's deployment) relies on.
+// blocked vs threaded GEMM on DroNet-shaped problems, persistent-pool
+// sharding, and im2col+GEMM vs direct convolution — the execution strategy
+// darknet (and hence the paper's deployment) relies on.
 //
-// BM_GemmSpawnLegacy / BM_GemmPooledPacked are the PR-3 acceptance pair:
-// at 512-input DroNet shapes with 4 threads the pooled packed kernel must be
-// >= 1.5x faster than the old spawn-per-call path, and pool_threads_delta
-// must stay 0 across the timed iterations (zero per-call thread creation).
+// BM_GemmPooledPacked shards the packed kernel over the persistent pool at
+// 512-input DroNet shapes with 4 threads; pool_threads_delta must stay 0
+// across the timed iterations (zero per-call thread creation).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -43,6 +42,15 @@ const GemmShape kDroNetStages512[] = {
     {16, 72, 128 * 128},
     {32, 144, 64 * 64},
     {64, 288, 32 * 32},
+};
+
+// The shipped checkpoint (filter_scale 0.6) at input 224, stages 1-4: 5, 10,
+// 19 and 38 filters, none a multiple of the 4-row register tile.
+const GemmShape kShippedStages224[] = {
+    {5, 27, 224 * 224},
+    {10, 45, 112 * 112},
+    {19, 90, 56 * 56},
+    {38, 171, 28 * 28},
 };
 
 void fill_random(std::vector<float>& v, std::uint64_t seed) {
@@ -103,32 +111,7 @@ void BM_GemmThreaded(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmThreaded)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// Old strategy: spawn and join fresh std::threads inside every gemm call
-// (what gemm_threaded did before the persistent pool landed).
-void BM_GemmSpawnLegacy(benchmark::State& state) {
-    const GemmShape s = kDroNetStages512[state.range(0)];
-    std::vector<float> a(static_cast<std::size_t>(s.m) * s.k);
-    std::vector<float> b(static_cast<std::size_t>(s.k) * s.n);
-    std::vector<float> c(static_cast<std::size_t>(s.m) * s.n);
-    fill_random(a, 1);
-    fill_random(b, 2);
-    for (auto _ : state) {
-        gemm_threaded_spawn({false, false, s.m, s.n, s.k, 1.0f, a.data(), s.k,
-                             b.data(), s.n, 0.0f, c.data(), s.n},
-                            4);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.counters["GFLOP/s"] = benchmark::Counter(
-        static_cast<double>(gemm_flops(s.m, s.n, s.k)) * state.iterations() * 1e-9,
-        benchmark::Counter::kIsRate);
-    // Every iteration spawned 4 threads; surface that cost for contrast with
-    // the pooled variant's delta of 0.
-    state.counters["threads_spawned"] =
-        benchmark::Counter(4.0 * static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_GemmSpawnLegacy)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
-
-// New strategy: packed 4x16 kernel sharded over the persistent worker pool.
+// Packed 4x16 kernel sharded over the persistent worker pool.
 // pool_threads_delta counts OS threads created during the timed loop — the
 // acceptance criterion is that it is exactly 0 (the pool is warmed before
 // timing and never grows again).
@@ -155,12 +138,15 @@ void BM_GemmPooledPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmPooledPacked)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
-// SIMD dispatch ablation (docs/vectorization.md): the same blocked GEMM at
-// 512-input DroNet shapes with the kernel level pinned, so the scalar vs
-// AVX2 delta is the micro-kernel alone (identical blocking, packing, and
-// threading either way). Args: (stage, level) with level 0=scalar, 1=avx2.
+// SIMD dispatch ablation (docs/vectorization.md): the same blocked GEMM with
+// the kernel level pinned, so the scalar vs AVX2 delta is the micro-kernel
+// alone (identical blocking, packing, and threading either way). Args:
+// (shape, level) with level 0=scalar, 1=avx2; shapes 0-3 are the full-width
+// 512-input stages, 4-7 the shipped checkpoint's stages at 224, whose row
+// counts leave remainder rows below the 4-row tile.
 void BM_GemmSimdLevel(benchmark::State& state) {
-    const GemmShape s = kDroNetStages512[state.range(0)];
+    const auto shape = state.range(0);
+    const GemmShape s = shape < 4 ? kDroNetStages512[shape] : kShippedStages224[shape - 4];
     const auto want = state.range(1) == 0 ? simd::SimdLevel::kScalar
                                           : simd::SimdLevel::kAvx2;
     if (want == simd::SimdLevel::kAvx2 && !simd::cpu_supports_avx2()) {
@@ -184,7 +170,7 @@ void BM_GemmSimdLevel(benchmark::State& state) {
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GemmSimdLevel)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6, 7}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 // Int8 GEMM across dispatch levels at the same shapes (docs/quantization.md):

@@ -60,15 +60,19 @@ void write_meta(const PretrainedMeta& meta, const std::filesystem::path& meta_pa
         << "input_size=" << meta.input_size << "\n";
 }
 
-std::optional<Network> load_pretrained(ModelId id, int input_size) {
-    const auto dir = find_weights_dir(id);
-    if (!dir) return std::nullopt;
-    const PretrainedMeta meta = read_meta(*dir / (to_string(id) + ".meta"));
+ModelOptions model_options(const PretrainedMeta& meta, int input_size) {
     ModelOptions options;
     options.input_size = input_size > 0 ? input_size : meta.input_size;
     options.classes = meta.classes;
     options.filter_scale = meta.filter_scale;
-    Network net = build_model(id, options);
+    return options;
+}
+
+std::optional<Network> load_pretrained(ModelId id, int input_size) {
+    const auto dir = find_weights_dir(id);
+    if (!dir) return std::nullopt;
+    const PretrainedMeta meta = read_meta(*dir / (to_string(id) + ".meta"));
+    Network net = build_model(id, model_options(meta, input_size));
     load_weights(net, *dir / (to_string(id) + ".weights"));
     return net;
 }

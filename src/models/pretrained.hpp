@@ -29,6 +29,11 @@ struct PretrainedMeta {
 /// Writes a meta file next to a checkpoint.
 void write_meta(const PretrainedMeta& meta, const std::filesystem::path& meta_path);
 
+/// Build options matching a checkpoint: its meta's filter_scale and classes,
+/// at `input_size` (0 = the resolution it was last trained at).
+[[nodiscard]] ModelOptions model_options(const PretrainedMeta& meta,
+                                         int input_size = 0 /*0 = meta*/);
+
 /// Builds the model with the checkpoint's recorded options and loads its
 /// weights. Returns nullopt when no checkpoint is found.
 [[nodiscard]] std::optional<Network> load_pretrained(ModelId id,

@@ -1,8 +1,11 @@
 #include "nn/maxpool_layer.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "simd/kernels.hpp"
 
 namespace dronet {
 
@@ -26,10 +29,6 @@ void MaxPoolLayer::setup(const Shape& input) {
     output_shape_ = Shape{input.n, input.c, out_h, out_w};
     output_.resize(output_shape_);
     delta_.resize(output_shape_);
-    // Grow-only: forward() writes every element of argmax_ before backward()
-    // reads it, so batch-size toggling never needs a realloc or zero-fill.
-    const auto needed = static_cast<std::size_t>(output_shape_.size());
-    if (argmax_.size() < needed) argmax_.resize(needed, 0);
 }
 
 std::string MaxPoolLayer::describe() const {
@@ -48,6 +47,52 @@ void MaxPoolLayer::forward(const Tensor& input, Network&, bool) {
     if (input.shape() != input_shape_) {
         throw std::invalid_argument("MaxPoolLayer::forward: shape mismatch");
     }
+    const int offset = -pad_ / 2;
+    const int size = config_.size;
+    const int stride = config_.stride;
+    const int in_h = input_shape_.h;
+    const int in_w = input_shape_.w;
+    const int out_h = output_shape_.h;
+    const int out_w = output_shape_.w;
+    // Output columns [ox_lo, ox_hi) have every tap inside the row and go to
+    // the kernel as one call; the border columns go one at a time with their
+    // taps clipped to the row.
+    const int ox_lo = std::min(out_w, (stride - 1 - offset) / stride);
+    const int ox_hi = in_w - size - offset >= 0
+                          ? std::clamp((in_w - size - offset) / stride + 1, ox_lo, out_w)
+                          : ox_lo;
+    const auto max_window_row = simd::kernels().max_window_row;
+    const std::int64_t planes = static_cast<std::int64_t>(input_shape_.n) * input_shape_.c;
+    for (std::int64_t p = 0; p < planes; ++p) {
+        const float* plane = input.data() + p * in_h * in_w;
+        float* out_plane = output_.data() + p * out_h * out_w;
+        for (int oy = 0; oy < out_h; ++oy) {
+            const int iy = offset + oy * stride;
+            const int y0 = std::clamp(iy, 0, in_h);
+            const int rows = std::clamp(iy + size, 0, in_h) - y0;
+            // A window row wholly inside the padding (rows == 0) reads
+            // nothing; min() only keeps its pointer inside the plane.
+            const float* top =
+                plane + static_cast<std::int64_t>(std::min(y0, in_h - 1)) * in_w;
+            float* out_row = out_plane + static_cast<std::int64_t>(oy) * out_w;
+            const auto pool = [&](int ox, int count) {
+                const int ix = offset + ox * stride;
+                const int x0 = std::clamp(ix, 0, in_w);
+                max_window_row(top + x0, in_w, rows, std::clamp(ix + size, 0, in_w) - x0,
+                               stride, out_row + ox, static_cast<std::size_t>(count));
+            };
+            for (int ox = 0; ox < ox_lo; ++ox) pool(ox, 1);
+            if (ox_hi > ox_lo) pool(ox_lo, ox_hi - ox_lo);
+            for (int ox = ox_hi; ox < out_w; ++ox) pool(ox, 1);
+        }
+    }
+}
+
+void MaxPoolLayer::backward(const Tensor& input, Tensor* input_delta, Network&) {
+    if (input_delta == nullptr) return;
+    // Re-finds each window's winner the way forward() picks it (first
+    // strictly greater tap in scan order, from -FLT_MAX); a window with no
+    // tap above -FLT_MAX routes nowhere.
     const int offset = -pad_ / 2;
     std::int64_t out_idx = 0;
     for (int b = 0; b < input_shape_.n; ++b) {
@@ -69,19 +114,10 @@ void MaxPoolLayer::forward(const Tensor& input, Network&, bool) {
                             }
                         }
                     }
-                    output_[out_idx] = best;
-                    argmax_[static_cast<std::size_t>(out_idx)] = best_idx;
+                    if (best_idx >= 0) (*input_delta)[best_idx] += delta_[out_idx];
                 }
             }
         }
-    }
-}
-
-void MaxPoolLayer::backward(const Tensor&, Tensor* input_delta, Network&) {
-    if (input_delta == nullptr) return;
-    for (std::int64_t i = 0; i < output_shape_.size(); ++i) {
-        const std::int64_t src = argmax_[static_cast<std::size_t>(i)];
-        if (src >= 0) (*input_delta)[src] += delta_[i];
     }
 }
 

@@ -5,8 +5,6 @@
 // Tiny-YOLO places before its two wide convolutions.
 #pragma once
 
-#include <vector>
-
 #include "nn/layer.hpp"
 
 namespace dronet {
@@ -33,7 +31,6 @@ class MaxPoolLayer final : public Layer {
   private:
     MaxPoolConfig config_;
     int pad_ = 0;
-    std::vector<std::int64_t> argmax_;  ///< winning input index per output element
 };
 
 }  // namespace dronet

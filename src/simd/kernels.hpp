@@ -1,5 +1,6 @@
 // Dispatched kernel entry points backing the hot paths (tensor/gemm,
-// tensor/im2col, tensor/ops, nn/activation, image/resize, nn fp16 storage).
+// tensor/im2col, tensor/ops, nn/activation, nn/maxpool_layer, image/resize,
+// nn fp16 storage).
 //
 // Callers fetch the active table once per call site via kernels() — one
 // atomic acquire load — and invoke plain function pointers. The scalar table
@@ -10,8 +11,14 @@
 //   * copy_row / add_bias_row / scale_row / normalize_row / leaky_relu /
 //     relu / lerp_rows perform identical per-element IEEE operations at both
 //     levels — results are bitwise equal regardless of dispatch.
-//   * gemm_micro_4x16 is null on the scalar table (the caller keeps its
-//     reference loop); the AVX2 entry uses FMA and is tolerance-gated.
+//   * gemm_micro_rx16 is null on the scalar table (the caller keeps its
+//     reference loop); the AVX2 entry uses FMA and is tolerance-gated. Every
+//     row count runs the same per-row instruction sequence, so a row's
+//     result does not depend on how many rows share its tile.
+//   * max_window_row applies v > best ? v : best over the taps in scan order
+//     at both levels (MAXPS is exactly that select, NaN and signed zeros
+//     included) — bitwise identical across levels (memcmp-gated in
+//     test_simd and test_pool_layers).
 //   * gemm_i8_row is pure integer arithmetic — results are bitwise identical
 //     across levels (memcmp-gated in test_quantize).
 //   * quantize_row performs the same IEEE divide, truncation, half bump and
@@ -39,11 +46,14 @@ struct KernelTable {
                       std::size_t n);
     void (*floats_to_halfs)(const float* src, std::uint16_t* dst, std::size_t n);
     void (*halfs_to_floats)(const std::uint16_t* src, float* dst, std::size_t n);
-    /// Full 4x16 C tile: c[r][j] = alpha*sum_k(ap[k*4+r]*b[k*b_stride+j]) +
-    /// beta*c[r][j]. Null on the scalar table (caller's reference loop runs).
-    void (*gemm_micro_4x16)(const float* ap, const float* b,
+    /// C tile of `rows` (1-4) rows by 16 columns:
+    /// c[r][j] = alpha*sum_k(ap[k*4+r]*b[k*b_stride+j]) + beta*c[r][j] for
+    /// r < rows; rows beyond `rows` are neither read nor written. A is packed
+    /// with a row stride of 4 whatever `rows` is. Null on the scalar table
+    /// (caller's reference loop runs).
+    void (*gemm_micro_rx16)(const float* ap, const float* b,
                             std::int64_t b_stride, int k, float alpha,
-                            float beta, float* c, std::int64_t ldc);
+                            float beta, float* c, std::int64_t ldc, int rows);
     /// One output row of the int8 GEMM with int32 accumulation (overwrites):
     /// c_row[j] = sum_p a_row[p] * b[p*ldb + j], j in [0, n). Integer math —
     /// bitwise identical across levels. Overflow-safe for k < 2^16.
@@ -57,6 +67,14 @@ struct KernelTable {
     /// Requantize epilogue: out[i] = float(acc[i]) * scale + bias.
     void (*requant_row)(const std::int32_t* acc, std::size_t n, float scale,
                         float bias, float* out);
+    /// Max pooling along one output row: out[o], o < n, is the maximum of the
+    /// rows x cols block of taps base[ky*row_stride + o*stride + kx], taken
+    /// in scan order (ky, then kx) as best = v > best ? v : best from
+    /// -FLT_MAX. NaN taps never win, ties keep the earlier tap, and rows or
+    /// cols of 0 give -FLT_MAX. Reads nothing outside columns
+    /// [0, (n-1)*stride + cols) of the `rows` tap rows.
+    void (*max_window_row)(const float* base, std::int64_t row_stride, int rows,
+                           int cols, int stride, float* out, std::size_t n);
 };
 
 /// The table for the active dispatch level (dispatch.hpp).

@@ -1,9 +1,11 @@
 // AVX2/FMA/F16C instantiation of the kernel templates plus the hand-written
-// GEMM micro-kernel and half conversions. This TU — and only this TU — is
-// compiled with -mavx2 -mfma -mf16c (src/simd/CMakeLists.txt); nothing here
-// may be called before dispatch has confirmed the CPU capability.
+// GEMM micro-kernel, int8, maxpool and half conversion kernels. This TU —
+// and only this TU — is compiled with -mavx2 -mfma -mf16c
+// (src/simd/CMakeLists.txt); nothing here may be called before dispatch has
+// confirmed the CPU capability.
 #include "simd/kernels.hpp"
 
+#include <cfloat>
 #include <immintrin.h>
 
 #include "simd/half.hpp"
@@ -13,56 +15,68 @@
 namespace dronet::simd {
 namespace {
 
-/// Full 4x16 tile with FMA accumulators: 8 ymm accumulators (4 rows x 2
-/// halves), one B-row load pair amortized over four broadcast A values —
-/// the vector mirror of tensor/gemm.cpp's micro_full_direct/_packed.
+/// R x 16 C tile (R = 1..4) with FMA accumulators: 2R ymm accumulators
+/// (R rows x 2 halves), one B-row load pair amortized over R broadcast A
+/// values — the vector mirror of tensor/gemm.cpp's micro_full_direct/_packed.
+/// Every row runs the same FMA chain and epilogue whatever R is, so a row's
+/// result does not depend on how many rows its tile holds.
 ///
-/// Aligned to 64 bytes, which also fixes the offsets of this file's other
-/// non-template functions: the speed of the k loop depends on where it falls
-/// in the 64-byte instruction fetch windows. Left to the linker, code added
-/// anywhere before this file moved it by 16 bytes and cost the fp32
-/// DroNet@224 forward ~12%.
-__attribute__((aligned(64)))
-void gemm_micro_4x16_fma(const float* ap, const float* b, std::int64_t b_stride,
-                         int k, float alpha, float beta, float* c,
-                         std::int64_t ldc) {
-    __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
-    __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
-    __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
-    __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+/// Each instantiation is aligned to 64 bytes and kept out of line: the speed
+/// of the k loop depends on where it falls in the 64-byte instruction fetch
+/// windows. Left to the linker, code added anywhere before this file moved
+/// the 4-row loop by 16 bytes and cost the fp32 DroNet@224 forward ~12%.
+/// The alignment pins only these instantiations; the compiler emits them
+/// apart from the non-template functions below, which stay where the
+/// linker puts them.
+template <int R>
+__attribute__((noinline, aligned(64)))
+void gemm_tile_fma(const float* ap, const float* b, std::int64_t b_stride, int k,
+                   float alpha, float beta, float* c, std::int64_t ldc) {
+    __m256 acc[R][2];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) acc[r][0] = acc[r][1] = _mm256_setzero_ps();
     for (int kk = 0; kk < k; ++kk) {
         const float* brow = b + static_cast<std::int64_t>(kk) * b_stride;
         const __m256 b0 = _mm256_loadu_ps(brow);
         const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        const __m256 a0 = _mm256_broadcast_ss(ap + 0);
-        const __m256 a1 = _mm256_broadcast_ss(ap + 1);
-        const __m256 a2 = _mm256_broadcast_ss(ap + 2);
-        const __m256 a3 = _mm256_broadcast_ss(ap + 3);
+        __m256 a[R];
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) a[r] = _mm256_broadcast_ss(ap + r);
         ap += 4;
-        acc00 = _mm256_fmadd_ps(a0, b0, acc00);
-        acc01 = _mm256_fmadd_ps(a0, b1, acc01);
-        acc10 = _mm256_fmadd_ps(a1, b0, acc10);
-        acc11 = _mm256_fmadd_ps(a1, b1, acc11);
-        acc20 = _mm256_fmadd_ps(a2, b0, acc20);
-        acc21 = _mm256_fmadd_ps(a2, b1, acc21);
-        acc30 = _mm256_fmadd_ps(a3, b0, acc30);
-        acc31 = _mm256_fmadd_ps(a3, b1, acc31);
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            acc[r][0] = _mm256_fmadd_ps(a[r], b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(a[r], b1, acc[r][1]);
+        }
     }
     const __m256 va = _mm256_set1_ps(alpha);
     const __m256 vb = _mm256_set1_ps(beta);
-    const __m256 accs[4][2] = {
-        {acc00, acc01}, {acc10, acc11}, {acc20, acc21}, {acc30, acc31}};
-    for (int r = 0; r < 4; ++r) {
+    // Unrolled like the loops above: a variable index into acc would keep
+    // it in memory, and the k loop would store every accumulator.
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
         float* crow = c + static_cast<std::int64_t>(r) * ldc;
+#pragma GCC unroll 2
         for (int h = 0; h < 2; ++h) {
             float* cp = crow + 8 * h;
             // alpha*acc + beta*c, beta multiplying whatever C holds — the
             // same expression the scalar write_tile evaluates.
             const __m256 cv = _mm256_loadu_ps(cp);
             _mm256_storeu_ps(
-                cp, _mm256_add_ps(_mm256_mul_ps(va, accs[r][h]),
+                cp, _mm256_add_ps(_mm256_mul_ps(va, acc[r][h]),
                                   _mm256_mul_ps(vb, cv)));
         }
+    }
+}
+
+void gemm_micro_rx16_fma(const float* ap, const float* b, std::int64_t b_stride,
+                         int k, float alpha, float beta, float* c,
+                         std::int64_t ldc, int rows) {
+    switch (rows) {
+        case 4: return gemm_tile_fma<4>(ap, b, b_stride, k, alpha, beta, c, ldc);
+        case 3: return gemm_tile_fma<3>(ap, b, b_stride, k, alpha, beta, c, ldc);
+        case 2: return gemm_tile_fma<2>(ap, b, b_stride, k, alpha, beta, c, ldc);
+        default: return gemm_tile_fma<1>(ap, b, b_stride, k, alpha, beta, c, ldc);
     }
 }
 
@@ -161,6 +175,44 @@ void requant_row_avx2(const std::int32_t* acc, std::size_t n, float scale,
     if (i < n) scalar_kernel_table()->requant_row(acc + i, n - i, scale, bias, out + i);
 }
 
+/// Eight outputs per step, each a running _mm256_max_ps(v, best) over the
+/// taps in scan order. MAXPS returns its second operand unless the first is
+/// greater, so this is the scalar kernel's v > best ? v : best for NaN and
+/// signed zeros too. Only stride 2 with an even tap count is vectorised —
+/// DroNet's 2x2/2 pools. Each tap pair (kx, kx+1) loads the 16 floats under
+/// it and splits them into even and odd lanes; the split leaves the lanes in
+/// the 64-bit pair order 0 2 1 3 for every tap, so one permute before the
+/// store restores it. The loads end at output o+7's last tap. Other
+/// geometries, and the outputs left over, run the scalar kernel.
+void max_window_row_avx2(const float* base, std::int64_t row_stride, int rows,
+                         int cols, int stride, float* out, std::size_t n) {
+    std::size_t o = 0;
+    if (stride == 2 && cols % 2 == 0) {
+        const __m256 lowest = _mm256_set1_ps(-FLT_MAX);
+        for (; o + 8 <= n; o += 8) {
+            __m256 best = lowest;
+            for (int ky = 0; ky < rows; ++ky) {
+                const float* taps = base + ky * row_stride + 2 * o;
+                for (int kx = 0; kx < cols; kx += 2) {
+                    const __m256 lo = _mm256_loadu_ps(taps + kx);
+                    const __m256 hi = _mm256_loadu_ps(taps + kx + 8);
+                    best = _mm256_max_ps(
+                        _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0)), best);
+                    best = _mm256_max_ps(
+                        _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1)), best);
+                }
+            }
+            _mm256_storeu_ps(out + o, _mm256_castpd_ps(_mm256_permute4x64_pd(
+                                          _mm256_castps_pd(best), _MM_SHUFFLE(3, 1, 2, 0))));
+        }
+    }
+    if (o < n) {
+        scalar_kernel_table()->max_window_row(
+            base + static_cast<std::int64_t>(o) * stride, row_stride, rows, cols,
+            stride, out + o, n - o);
+    }
+}
+
 void floats_to_halfs_f16c(const float* src, std::uint16_t* dst, std::size_t n) {
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -192,10 +244,11 @@ constexpr KernelTable kAvx2Table = {
     impl::lerp_rows<VecAvx2>,
     floats_to_halfs_f16c,
     halfs_to_floats_f16c,
-    gemm_micro_4x16_fma,
+    gemm_micro_rx16_fma,
     gemm_i8_row_avx2,
     quantize_row_avx2,
     requant_row_avx2,
+    max_window_row_avx2,
 };
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Scalar instantiation of the kernel templates — the always-available,
-// bit-exact dispatch level. gemm_micro_4x16 stays null: tensor/gemm.cpp keeps
+// bit-exact dispatch level. gemm_micro_rx16 stays null: tensor/gemm.cpp keeps
 // its reference micro-kernel loop on this level.
 #include "simd/kernels.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 
 #include "simd/half.hpp"
@@ -57,6 +58,19 @@ void requant_row_scalar(const std::int32_t* acc, std::size_t n, float scale,
     }
 }
 
+void max_window_row_scalar(const float* base, std::int64_t row_stride, int rows,
+                           int cols, int stride, float* out, std::size_t n) {
+    for (std::size_t o = 0; o < n; ++o) {
+        const float* window = base + static_cast<std::int64_t>(o) * stride;
+        float best = -FLT_MAX;
+        for (int ky = 0; ky < rows; ++ky) {
+            const float* taps = window + ky * row_stride;
+            for (int kx = 0; kx < cols; ++kx) best = taps[kx] > best ? taps[kx] : best;
+        }
+        out[o] = best;
+    }
+}
+
 constexpr KernelTable kScalarTable = {
     impl::copy_row<VecScalar>,
     impl::add_bias_row<VecScalar>,
@@ -67,10 +81,11 @@ constexpr KernelTable kScalarTable = {
     impl::lerp_rows<VecScalar>,
     floats_to_halfs_scalar,
     halfs_to_floats_scalar,
-    nullptr,  // gemm_micro_4x16: scalar level keeps the reference loop
+    nullptr,  // gemm_micro_rx16: scalar level keeps the reference loop
     gemm_i8_row_scalar,
     quantize_row_scalar,
     requant_row_scalar,
+    max_window_row_scalar,
 };
 
 }  // namespace

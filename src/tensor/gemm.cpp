@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "simd/kernels.hpp"
@@ -154,7 +153,8 @@ void micro_full_packed(const GemmArgs& g, const float* ap, const float* bp,
     write_tile(g, acc, i0, j0, kMr, kNr);
 }
 
-/// Edge tile (mr < kMr and/or nr < kNr). bp may be null (read B in place).
+/// Edge tile (mr < kMr and/or nr < kNr) on the scalar level, and the n % kNr
+/// column tail on every level. bp may be null (read B in place).
 void micro_edge(const GemmArgs& g, const float* ap, const float* bp, int i0,
                 int j0, int mr, int nr) {
     float acc[kMr][kNr] = {};
@@ -183,25 +183,24 @@ void packed_rows(const GemmArgs& g, int row_begin, int row_end) {
         return;
     }
     // Fetched once per row range: null on the scalar level (the reference
-    // loops below stay the kernel), the FMA tile on AVX2. Edge tiles always
-    // take the scalar path — only full 4x16 tiles dispatch.
-    const auto micro_simd = simd::kernels().gemm_micro_4x16;
+    // loops below stay the kernel), the FMA tile on AVX2. Every tile with 16
+    // full columns dispatches, whatever its row count; only the n % 16 column
+    // tail takes the scalar edge path.
+    const auto micro_simd = simd::kernels().gemm_micro_rx16;
     float* ap = a_scratch(static_cast<std::size_t>(kMr) * std::max(1, g.k));
     if (!g.trans_b) {
         for (int i0 = row_begin; i0 < row_end; i0 += kMr) {
             const int mr = std::min(kMr, row_end - i0);
             pack_a(g, i0, mr, ap);
             int j0 = 0;
-            if (mr == kMr) {
+            if (micro_simd != nullptr) {
                 for (; j0 + kNr <= g.n; j0 += kNr) {
-                    if (micro_simd != nullptr) {
-                        micro_simd(ap, g.b + j0, g.ldb, g.k, g.alpha, g.beta,
-                                   g.c + static_cast<std::int64_t>(i0) * g.ldc + j0,
-                                   g.ldc);
-                    } else {
-                        micro_full_direct(g, ap, i0, j0);
-                    }
+                    micro_simd(ap, g.b + j0, g.ldb, g.k, g.alpha, g.beta,
+                               g.c + static_cast<std::int64_t>(i0) * g.ldc + j0,
+                               g.ldc, mr);
                 }
+            } else if (mr == kMr) {
+                for (; j0 + kNr <= g.n; j0 += kNr) micro_full_direct(g, ap, i0, j0);
             }
             for (; j0 < g.n; j0 += kNr) {
                 micro_edge(g, ap, nullptr, i0, j0, mr, std::min(kNr, g.n - j0));
@@ -218,57 +217,14 @@ void packed_rows(const GemmArgs& g, int row_begin, int row_end) {
             for (int i0 = row_begin; i0 < row_end; i0 += kMr) {
                 const int mr = std::min(kMr, row_end - i0);
                 pack_a(g, i0, mr, ap);
-                if (mr == kMr && nr == kNr) {
-                    if (micro_simd != nullptr) {
-                        micro_simd(ap, bp, kNr, g.k, g.alpha, g.beta,
-                                   g.c + static_cast<std::int64_t>(i0) * g.ldc + j0,
-                                   g.ldc);
-                    } else {
-                        micro_full_packed(g, ap, bp, i0, j0);
-                    }
+                if (nr == kNr && micro_simd != nullptr) {
+                    micro_simd(ap, bp, kNr, g.k, g.alpha, g.beta,
+                               g.c + static_cast<std::int64_t>(i0) * g.ldc + j0,
+                               g.ldc, mr);
+                } else if (nr == kNr && mr == kMr) {
+                    micro_full_packed(g, ap, bp, i0, j0);
                 } else {
                     micro_edge(g, ap, bp, i0, j0, mr, nr);
-                }
-            }
-        }
-    }
-}
-
-// ---- legacy kernel (pre-pool baseline, kept for the ablation bench) --------
-
-void legacy_scale_c(const GemmArgs& g, int row_begin, int row_end) {
-    if (g.beta == 1.0f) return;
-    for (int i = row_begin; i < row_end; ++i) {
-        float* row = g.c + static_cast<std::int64_t>(i) * g.ldc;
-        if (g.beta == 0.0f) {
-            std::fill(row, row + g.n, 0.0f);
-        } else {
-            for (int j = 0; j < g.n; ++j) row[j] *= g.beta;
-        }
-    }
-}
-
-void legacy_blocked_rows(const GemmArgs& g, int row_begin, int row_end) {
-    constexpr int kBlockK = 128;
-    constexpr int kBlockJ = 256;
-    legacy_scale_c(g, row_begin, row_end);
-    for (int p0 = 0; p0 < g.k; p0 += kBlockK) {
-        const int p1 = std::min(g.k, p0 + kBlockK);
-        for (int j0 = 0; j0 < g.n; j0 += kBlockJ) {
-            const int j1 = std::min(g.n, j0 + kBlockJ);
-            for (int i = row_begin; i < row_end; ++i) {
-                float* crow = g.c + static_cast<std::int64_t>(i) * g.ldc;
-                for (int p = p0; p < p1; ++p) {
-                    const float a_ip = g.alpha * a_elem(g, i, p);
-                    if (a_ip == 0.0f) continue;
-                    if (!g.trans_b) {
-                        const float* brow = g.b + static_cast<std::int64_t>(p) * g.ldb;
-                        for (int j = j0; j < j1; ++j) crow[j] += a_ip * brow[j];
-                    } else {
-                        for (int j = j0; j < j1; ++j) {
-                            crow[j] += a_ip * g.b[static_cast<std::int64_t>(j) * g.ldb + p];
-                        }
-                    }
                 }
             }
         }
@@ -306,25 +262,6 @@ void gemm_threaded(const GemmArgs& g, int threads) {
     ThreadPool::instance().parallel_for(
         0, g.m, threads, kMr,
         [&g](int lo, int hi) { packed_rows(g, lo, hi); });
-}
-
-void gemm_threaded_spawn(const GemmArgs& g, int threads) {
-    validate(g);
-    threads = std::min(threads, g.m);
-    if (threads <= 1) {
-        legacy_blocked_rows(g, 0, g.m);
-        return;
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads));
-    const int rows_per = (g.m + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-        const int lo = t * rows_per;
-        const int hi = std::min(g.m, lo + rows_per);
-        if (lo >= hi) break;
-        workers.emplace_back([&g, lo, hi] { legacy_blocked_rows(g, lo, hi); });
-    }
-    for (auto& w : workers) w.join();
 }
 
 void gemm_halfw(int m, int n, int k, const std::uint16_t* a, int lda,

@@ -15,11 +15,6 @@
 //   * gemm_threaded       - gemm_blocked sharded over row ranges on the
 //                           persistent ThreadPool (tensor/thread_pool.hpp).
 //                           No threads are created per call.
-//   * gemm_threaded_spawn - the pre-pool implementation (spawn + join fresh
-//                           std::threads every call, unpacked blocked
-//                           kernel). Kept as the baseline for
-//                           bench_ablation_gemm and regression tests; do not
-//                           use in new code.
 //
 // All kernels compute, for row-major matrices:
 //   C = alpha * op(A) * op(B) + beta * C
@@ -59,10 +54,6 @@ void gemm_blocked(const GemmArgs& args);
 /// kernel. Results are bit-exact with gemm_naive regardless of thread count
 /// (each C row is computed by exactly one thread, in the same order).
 void gemm_threaded(const GemmArgs& args, int threads);
-
-/// Legacy reference: spawns and joins `threads` fresh std::threads per call
-/// over the unpacked blocked kernel. Only for benchmarking the pool against.
-void gemm_threaded_spawn(const GemmArgs& args, int threads);
 
 /// Convenience wrapper matching darknet's historic signature. Dispatches to
 /// the packed kernel (pool-threaded when set_gemm_threads() > 1).

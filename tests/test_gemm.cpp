@@ -113,25 +113,6 @@ TEST_P(GemmAgreement, ThreadedBitExactVsNaive) {
     ASSERT_EQ(std::memcmp(c_ref.data(), c_thr.data(), c_ref.size() * sizeof(float)), 0);
 }
 
-// Legacy spawn-per-call sharding (kept as the ablation baseline) uses the
-// old k-blocked kernel, so it agrees within tolerance, not bitwise.
-TEST_P(GemmAgreement, SpawnLegacyMatchesNaive) {
-    const GemmCase c = GetParam();
-    Rng rng(37);
-    const auto a = c.ta ? random_matrix(rng, c.k, c.m) : random_matrix(rng, c.m, c.k);
-    const auto b = c.tb ? random_matrix(rng, c.n, c.k) : random_matrix(rng, c.k, c.n);
-    auto c_ref = random_matrix(rng, c.m, c.n);
-    auto c_spawn = c_ref;
-    const int lda = c.ta ? c.m : c.k;
-    const int ldb = c.tb ? c.k : c.n;
-    gemm_naive({c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), lda, b.data(), ldb,
-                c.beta, c_ref.data(), c.n});
-    gemm_threaded_spawn({c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), lda, b.data(),
-                         ldb, c.beta, c_spawn.data(), c.n},
-                        3);
-    expect_near(c_ref, c_spawn);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmAgreement,
     ::testing::Values(
@@ -156,6 +137,44 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{4, 1, 64, true, false, 1.0f, 1.0f},
         GemmCase{8, 1024, 27, false, false, 1.0f, 0.0f},
         GemmCase{9, 31, 5, false, true, -0.5f, 2.0f}));
+
+// A row of C must not depend on how many rows the call has or where the row
+// falls in a register tile: the AVX2 level runs every row count through the
+// same FMA sequence, and the scalar level runs the reference order. Each row
+// of an m-row call must equal, bit for bit, the same row computed alone.
+TEST(GemmRows, IndependentOfRowCountAndTilePosition) {
+    for (const simd::SimdLevel level : {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2}) {
+        const simd::ScopedSimdLevel pin(level);
+        Rng rng(43);
+        for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 19, 38}) {
+            for (const int k : {5, 27, 171}) {
+                for (const int n : {16, 33, 80}) {
+                    for (const bool tb : {false, true}) {
+                        const auto a = random_matrix(rng, m, k);
+                        const auto b = tb ? random_matrix(rng, n, k) : random_matrix(rng, k, n);
+                        const int ldb = tb ? k : n;
+                        std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
+                        gemm_blocked({false, tb, m, n, k, 1.0f, a.data(), k, b.data(), ldb,
+                                      0.0f, c.data(), n});
+                        for (int i = 0; i < m; ++i) {
+                            std::vector<float> row(static_cast<std::size_t>(n), 0.0f);
+                            gemm_blocked({false, tb, 1, n, k, 1.0f,
+                                          a.data() + static_cast<std::size_t>(i) * k, k,
+                                          b.data(), ldb, 0.0f, row.data(), n});
+                            ASSERT_EQ(std::memcmp(row.data(),
+                                                  c.data() + static_cast<std::size_t>(i) * n,
+                                                  row.size() * sizeof(float)),
+                                      0)
+                                << simd::to_string(simd::active_level()) << " m=" << m
+                                << " k=" << k << " n=" << n << " trans_b=" << tb
+                                << " row " << i;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(Gemm, IdentityMultiplication) {
     // I * B = B for a 3x3 identity.

@@ -141,6 +141,15 @@ TEST(Pretrained, MetaRoundTrip) {
     std::filesystem::remove(path);
 }
 
+TEST(Pretrained, ModelOptionsFromMeta) {
+    const PretrainedMeta meta{0.6f, 3, 192};
+    const ModelOptions trained = model_options(meta);
+    EXPECT_FLOAT_EQ(trained.filter_scale, 0.6f);
+    EXPECT_EQ(trained.classes, 3);
+    EXPECT_EQ(trained.input_size, 192);
+    EXPECT_EQ(model_options(meta, 224).input_size, 224);
+}
+
 TEST(Pretrained, LoadRoundTripThroughWeightsDir) {
     const auto dir = std::filesystem::temp_directory_path() / "dronet_test_weights";
     std::filesystem::create_directories(dir);

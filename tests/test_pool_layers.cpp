@@ -1,10 +1,18 @@
 // MaxPool, Upsample and Route layers: geometry, values, backward routing.
+// MaxPool's forward and backward are also checked bit for bit against a
+// per-element window scan at both SIMD dispatch levels.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/cfg.hpp"
 #include "nn/network.hpp"
+#include "simd/dispatch.hpp"
 #include "tensor/rng.hpp"
 
 namespace dronet {
@@ -71,6 +79,153 @@ TEST(MaxPool, BackwardRoutesToArgmax) {
     EXPECT_FLOAT_EQ(in_delta[13], 1.0f);
     EXPECT_FLOAT_EQ(in_delta[15], 1.0f);
     EXPECT_FLOAT_EQ(in_delta[0], 0.0f);
+}
+
+/// Per-element reference scan: for each output, the first tap in (ky, kx)
+/// order strictly greater than everything before it, starting from
+/// -FLT_MAX. Returns the outputs and each output's winning input index (-1
+/// when no tap exceeds -FLT_MAX).
+struct PoolReference {
+    std::vector<float> out;
+    std::vector<std::int64_t> winner;
+};
+
+PoolReference reference_maxpool(const Tensor& in, int size, int stride, int pad,
+                                const Shape& out_shape) {
+    PoolReference ref;
+    const Shape& s = in.shape();
+    const int offset = -pad / 2;
+    for (int b = 0; b < s.n; ++b) {
+        for (int c = 0; c < s.c; ++c) {
+            for (int oy = 0; oy < out_shape.h; ++oy) {
+                for (int ox = 0; ox < out_shape.w; ++ox) {
+                    float best = -FLT_MAX;
+                    std::int64_t best_idx = -1;
+                    for (int ky = 0; ky < size; ++ky) {
+                        const int iy = offset + oy * stride + ky;
+                        if (iy < 0 || iy >= s.h) continue;
+                        for (int kx = 0; kx < size; ++kx) {
+                            const int ix = offset + ox * stride + kx;
+                            if (ix < 0 || ix >= s.w) continue;
+                            const std::int64_t idx = in.index(b, c, iy, ix);
+                            if (in[idx] > best) {
+                                best = in[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    ref.out.push_back(best);
+                    ref.winner.push_back(best_idx);
+                }
+            }
+        }
+    }
+    return ref;
+}
+
+/// Seeded input mixing noise with NaN, signed zeros, infinities, -FLT_MAX
+/// and repeated values, so ties and non-finite taps occur in most windows.
+Tensor pool_input(const Shape& shape, std::uint64_t seed) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float specials[] = {nan, 0.0f, -0.0f, inf, -inf, -FLT_MAX, 0.5f, -0.5f};
+    Tensor in(shape);
+    Rng rng(seed);
+    rng.fill_uniform(in.span(), -1.0f, 1.0f);
+    for (std::int64_t i = 0; i < in.size(); ++i) {
+        const int pick = rng.uniform_int(0, 15);
+        if (pick < 8) in[i] = specials[pick];
+    }
+    return in;
+}
+
+struct PoolGeometry {
+    int size, stride, padding;
+};
+
+// Every geometry the zoo uses plus padding 0, over odd and even sizes from a
+// single pixel up, batch 2: forward must reproduce the reference scan bit for
+// bit at both dispatch levels, and backward after a training forward must
+// route each output's delta to the reference winner (first tap in scan order
+// among ties; nowhere when no tap exceeds -FLT_MAX).
+TEST(MaxPool, MatchesReferenceScanAtBothLevels) {
+    const PoolGeometry geometries[] = {{2, 2, -1}, {2, 1, -1}, {3, 2, -1}, {3, 1, -1},
+                                       {2, 2, 0},  {2, 1, 0},  {3, 2, 0},  {3, 1, 0}};
+    const int sizes[] = {1, 2, 3, 7, 13, 16, 17, 33};
+    int checked = 0;
+    for (const simd::SimdLevel level : {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2}) {
+        const simd::ScopedSimdLevel pin(level);
+        for (const PoolGeometry& geo : geometries) {
+            for (const int h : sizes) {
+                for (const int w : sizes) {
+                    const int pad = geo.padding >= 0 ? geo.padding : geo.size - 1;
+                    if ((h + pad - geo.size) / geo.stride + 1 <= 0 ||
+                        (w + pad - geo.size) / geo.stride + 1 <= 0) {
+                        continue;  // the layer rejects geometries with no output
+                    }
+                    Network net(cfg(3, h, w, 2));
+                    auto& pool = net.add_maxpool(
+                        {.size = geo.size, .stride = geo.stride, .padding = geo.padding});
+                    const Tensor in = pool_input(net.input_shape(),
+                                                 static_cast<std::uint64_t>(h * 100 + w));
+                    const PoolReference ref =
+                        reference_maxpool(in, geo.size, geo.stride, pad, pool.output_shape());
+                    const std::string where = std::string(simd::to_string(simd::active_level())) +
+                                              " " + std::to_string(geo.size) + "/" +
+                                              std::to_string(geo.stride) + " pad " +
+                                              std::to_string(pad) + " " + std::to_string(h) +
+                                              "x" + std::to_string(w);
+
+                    net.forward(in, /*train=*/true);
+                    ASSERT_EQ(static_cast<std::size_t>(pool.output().size()), ref.out.size());
+                    ASSERT_EQ(std::memcmp(pool.output().data(), ref.out.data(),
+                                          ref.out.size() * sizeof(float)),
+                              0)
+                        << where;
+
+                    for (std::int64_t i = 0; i < pool.delta().size(); ++i) {
+                        pool.delta()[i] = static_cast<float>(i % 7 + 1);
+                    }
+                    Tensor want_delta(in.shape());
+                    for (std::size_t i = 0; i < ref.winner.size(); ++i) {
+                        if (ref.winner[i] >= 0) {
+                            want_delta[ref.winner[i]] += pool.delta()[static_cast<std::int64_t>(i)];
+                        }
+                    }
+                    Tensor got_delta(in.shape());
+                    pool.backward(in, &got_delta, net);
+                    ASSERT_EQ(std::memcmp(got_delta.data(), want_delta.data(),
+                                          static_cast<std::size_t>(in.size()) * sizeof(float)),
+                              0)
+                        << where << " backward";
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 400);
+}
+
+// Ties go to the first tap in scan order and a window whose taps are all
+// -FLT_MAX, -Inf or NaN routes its delta nowhere.
+TEST(MaxPool, BackwardTieAndEmptyWindowRouting) {
+    Network net(cfg(1, 2, 4));
+    auto& pool = net.add_maxpool({.size = 2, .stride = 2});
+    Tensor in(1, 1, 2, 4);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    // Window 0: 3 at (0,1) and (1,0) tie; window 1: nothing above -FLT_MAX.
+    const float values[] = {1.0f, 3.0f, -FLT_MAX, nan,
+                            3.0f, 2.0f, -std::numeric_limits<float>::infinity(), -FLT_MAX};
+    for (int i = 0; i < 8; ++i) in[i] = values[i];
+    net.forward(in, /*train=*/true);
+    EXPECT_EQ(pool.output()[0], 3.0f);
+    EXPECT_EQ(pool.output()[1], -FLT_MAX);
+    pool.delta().fill(1.0f);
+    Tensor in_delta(in.shape());
+    pool.backward(in, &in_delta, net);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(in_delta[i], i == 1 ? 1.0f : 0.0f) << "input " << i;
+    }
 }
 
 TEST(MaxPool, RejectsBadConfig) {

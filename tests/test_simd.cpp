@@ -1,6 +1,6 @@
 // Vectorized compute backend (src/simd): dispatch level control, the
 // bit-exactness contract of the row kernels across levels (including the
-// int8 quantize and requantize kernels), and the
+// int8 quantize and requantize kernels and the maxpool row kernel), and the
 // tolerance gate for the AVX2 FMA GEMM micro-kernel (which fuses each
 // multiply-add into one rounding and therefore may differ from the scalar
 // reference by accumulated ULPs, never more).
@@ -41,7 +41,7 @@ std::vector<float> random_vec(Rng& rng, std::size_t n, float lo = -2.0f,
 TEST(SimdDispatch, ScalarAlwaysInstallable) {
     const simd::ScopedSimdLevel scalar(simd::SimdLevel::kScalar);
     EXPECT_EQ(simd::active_level(), simd::SimdLevel::kScalar);
-    EXPECT_EQ(simd::kernels().gemm_micro_4x16, nullptr);
+    EXPECT_EQ(simd::kernels().gemm_micro_rx16, nullptr);
     EXPECT_EQ(std::string(simd::to_string(simd::SimdLevel::kScalar)), "scalar");
 }
 
@@ -50,10 +50,10 @@ TEST(SimdDispatch, Avx2RequestHonoredOrDowngraded) {
     const simd::SimdLevel got = simd::set_level(simd::SimdLevel::kAvx2);
     if (simd::cpu_supports_avx2()) {
         EXPECT_EQ(got, simd::SimdLevel::kAvx2);
-        EXPECT_NE(simd::kernels().gemm_micro_4x16, nullptr);
+        EXPECT_NE(simd::kernels().gemm_micro_rx16, nullptr);
     } else {
         EXPECT_EQ(got, simd::SimdLevel::kScalar);
-        EXPECT_EQ(simd::kernels().gemm_micro_4x16, nullptr);
+        EXPECT_EQ(simd::kernels().gemm_micro_rx16, nullptr);
     }
     simd::set_level(prev);
 }
@@ -227,8 +227,74 @@ TEST(SimdKernels, RequantRowBitwiseEqualAcrossLevels) {
     EXPECT_EQ(out, 2.0f);  // 2 * 0.5 + 1
 }
 
+// max_window_row is the maxpool forward: every level must apply
+// v > best ? v : best over the taps in scan order from -FLT_MAX, so NaN taps
+// never win and the first of equal taps (+0 and -0 included) does.
+// Each case's input ends exactly at the last window's last tap, so a read
+// past the windows leaves the buffer (ASan builds report it), and the output
+// carries sentinels past n.
+TEST(SimdKernels, MaxWindowRowBitwiseEqualAcrossLevels) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<float> specials = {nan, -nan, 0.0f, -0.0f, inf, -inf,
+                                         -FLT_MAX, FLT_MAX, 1.0f, -1.0f};
+    constexpr float kSentinel = 12345.0f;
+    Rng rng(808);
+    for (const int stride : {1, 2}) {
+        for (const int rows : {0, 1, 2, 3}) {
+            for (const int cols : {0, 1, 2, 3, 4}) {
+                for (std::size_t n = 0; n <= 17; ++n) {
+                    const std::int64_t width =
+                        n == 0 ? 0 : static_cast<std::int64_t>(n - 1) * stride + cols;
+                    const std::int64_t row_stride = width + 3;
+                    const std::size_t size =
+                        rows == 0 ? 0
+                                  : static_cast<std::size_t>((rows - 1) * row_stride + width);
+                    std::vector<float> in = random_vec(rng, size, -1.0f, 1.0f);
+                    // Seeded special values at seeded positions, half the
+                    // taps in a small value set so ties are common.
+                    for (std::size_t i = 0; i < in.size(); ++i) {
+                        const float u = rng.uniform(0.0f, 1.0f);
+                        if (u < 0.3f) {
+                            in[i] = specials[i % specials.size()];
+                        } else if (u < 0.5f) {
+                            in[i] = (i % 3 == 0) ? -0.0f : 0.0f;
+                        }
+                    }
+                    std::vector<float> want(n);
+                    for (std::size_t o = 0; o < n; ++o) {
+                        float best = -FLT_MAX;
+                        for (int ky = 0; ky < rows; ++ky) {
+                            for (int kx = 0; kx < cols; ++kx) {
+                                const float v = in[static_cast<std::size_t>(
+                                    ky * row_stride + static_cast<std::int64_t>(o) * stride + kx)];
+                                if (v > best) best = v;
+                            }
+                        }
+                        want[o] = best;
+                    }
+                    for (const simd::KernelTable* table : available_tables()) {
+                        std::vector<float> got(n + 8, kSentinel);
+                        table->max_window_row(in.data(), row_stride, rows, cols, stride,
+                                              got.data(), n);
+                        EXPECT_TRUE(n == 0 ||
+                                    std::memcmp(got.data(), want.data(), n * sizeof(float)) == 0)
+                            << "stride " << stride << " rows " << rows << " cols " << cols
+                            << " n " << n;
+                        for (std::size_t i = n; i < got.size(); ++i) {
+                            ASSERT_EQ(got[i], kSentinel) << "wrote past n=" << n;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 // Property sweep: the AVX2 FMA micro-kernel against the scalar packed kernel
-// over random shapes. FMA skips one rounding per multiply-add, so error
+// over random shapes, then the shipped checkpoint's convolutions at input
+// 224 (filter_scale 0.6: 5, 10, 19, 38 and 30 filters, none a multiple of
+// the 4-row tile). FMA skips one rounding per multiply-add, so error
 // accumulates with k; the bound scales accordingly.
 TEST(SimdGemm, Avx2WithinToleranceOfScalar) {
     if (!simd::cpu_supports_avx2()) {
@@ -237,14 +303,27 @@ TEST(SimdGemm, Avx2WithinToleranceOfScalar) {
     Rng rng(2024);
     Rng shape_rng(77);
     std::vector<float> dims(3);
+    struct Case {
+        int m, n, k;
+        bool trans_b;
+        float alpha, beta;
+    };
+    std::vector<Case> cases;
     for (int trial = 0; trial < 24; ++trial) {
         shape_rng.fill_uniform(dims, 1.0f, 96.0f);
-        const int m = static_cast<int>(dims[0]);
-        const int n = static_cast<int>(dims[1]);
-        const int k = static_cast<int>(dims[2]);
-        const bool trans_b = (trial % 3) == 2;
-        const float alpha = (trial % 4 == 0) ? 0.5f : 1.0f;
-        const float beta = (trial % 5 == 0) ? 1.0f : 0.0f;
+        cases.push_back({static_cast<int>(dims[0]), static_cast<int>(dims[1]),
+                         static_cast<int>(dims[2]), (trial % 3) == 2,
+                         (trial % 4 == 0) ? 0.5f : 1.0f, (trial % 5 == 0) ? 1.0f : 0.0f});
+    }
+    for (const auto [m, k, n] : {std::array<int, 3>{5, 27, 224 * 224},
+                                 std::array<int, 3>{10, 45, 112 * 112},
+                                 std::array<int, 3>{19, 90, 56 * 56},
+                                 std::array<int, 3>{38, 171, 28 * 28},
+                                 std::array<int, 3>{30, 38, 14 * 14}}) {
+        cases.push_back({m, n, k, false, 1.0f, 0.0f});
+    }
+    for (std::size_t trial = 0; trial < cases.size(); ++trial) {
+        const auto [m, n, k, trans_b, alpha, beta] = cases[trial];
         const auto a = random_vec(rng, static_cast<std::size_t>(m) * k, -1.0f, 1.0f);
         const auto b = random_vec(rng, static_cast<std::size_t>(k) * n, -1.0f, 1.0f);
         const auto c0 = random_vec(rng, static_cast<std::size_t>(m) * n, -1.0f, 1.0f);
@@ -261,7 +340,7 @@ TEST(SimdGemm, Avx2WithinToleranceOfScalar) {
         const float tol = 2e-4f * (1.0f + static_cast<float>(k) / 256.0f);
         for (std::size_t i = 0; i < c_scalar.size(); ++i) {
             ASSERT_NEAR(c_scalar[i], c_avx2[i], tol)
-                << "trial " << trial << " (" << m << "x" << n << "x" << k
+                << "case " << trial << " (" << m << "x" << n << "x" << k
                 << ") at " << i;
         }
     }

@@ -12,12 +12,16 @@
 //   profile --model DroNet --size 512 ...
 //
 // --threads N sets intra-op GEMM/im2col parallelism (persistent pool).
+// With --model, a <name>.meta beside --weights sets the filter_scale and
+// classes the checkpoint was trained with.
 // --size resizes the fully-convolutional network before profiling.
 // --fp16 profiles the half-storage inference mode (docs/vectorization.md).
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "models/model_zoo.hpp"
+#include "models/pretrained.hpp"
 #include "nn/cfg.hpp"
 #include "nn/weights_io.hpp"
 #include "profile/profiler.hpp"
@@ -31,7 +35,8 @@ namespace {
 constexpr const char* kUsage =
     "usage: profile <model.cfg | --model NAME> [options]\n"
     "  --model NAME    model zoo entry (alternative to a cfg path)\n"
-    "  --weights FILE  load weights from a checkpoint file\n"
+    "  --weights FILE  load weights from a checkpoint file (with --model, a\n"
+    "                  .meta beside it sets the trained width and classes)\n"
     "  --runs N        timed forward passes (default 10)\n"
     "  --warmup N      untimed warm-up passes (default 2)\n"
     "  --size S        square input resolution\n"
@@ -74,9 +79,20 @@ int main(int argc, char** argv) {
             return 2;
         }
 
+        const int input_size = size > 0 ? size : 512;
+        ModelOptions options{.input_size = input_size};
+        if (cfg_path.empty() && !weights_path.empty()) {
+            // A checkpoint's .meta records the width it was trained at; the
+            // zoo default would not match the weight file's byte count. The
+            // resolution stays --size (default 512) rather than the meta's
+            // training resolution, as for a zoo model without a checkpoint.
+            const auto meta_path = std::filesystem::path(weights_path).replace_extension(".meta");
+            if (std::filesystem::exists(meta_path)) {
+                options = model_options(read_meta(meta_path), input_size);
+            }
+        }
         Network net = cfg_path.empty()
-                          ? build_model(model_from_string(model_name),
-                                        {.input_size = size > 0 ? size : 512})
+                          ? build_model(model_from_string(model_name), options)
                           : load_cfg_file(cfg_path);
         if (!weights_path.empty()) load_weights(net, weights_path);
         net.set_batch(1);
