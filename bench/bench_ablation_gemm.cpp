@@ -231,7 +231,7 @@ BENCHMARK(BM_GemmFp16Weights)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 void BM_DroNetForwardFp16(benchmark::State& state) {
     Network net = build_model(ModelId::kDroNet,
                               {.input_size = static_cast<int>(state.range(0))});
-    net.set_fp16(true);
+    net.set_precision(Precision::kF16);
     Tensor in(net.input_shape());
     for (auto _ : state) {
         net.forward(in);
@@ -245,12 +245,12 @@ BENCHMARK(BM_DroNetForwardFp16)->Arg(352)->Arg(512)->Unit(benchmark::kMillisecon
 void BM_DroNetForwardInt8(benchmark::State& state) {
     Network net = build_model(ModelId::kDroNet,
                               {.input_size = static_cast<int>(state.range(0))});
-    QuantizedNetwork quant(net);  // self-calibrates; folds BN
+    net.set_precision(Precision::kInt8, self_calibrate(net));  // folds BN
     Tensor in(net.input_shape());
     Rng rng(13);
     rng.fill_uniform(in.span(), 0.0f, 1.0f);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(quant.forward(in).data());
+        benchmark::DoNotOptimize(net.forward(in).data());
     }
 }
 BENCHMARK(BM_DroNetForwardInt8)->Arg(352)->Arg(512)->Unit(benchmark::kMillisecond);

@@ -11,7 +11,6 @@
 #include "eval/fps_meter.hpp"
 #include "eval/score.hpp"
 #include "nn/clone.hpp"
-#include "nn/quantize.hpp"
 #include "simd/dispatch.hpp"
 
 int main() {
@@ -26,33 +25,37 @@ int main() {
 
     EvalConfig ec;
     ec.score_threshold = 0.30f;
-    const DetectionMetrics fp32_m = evaluate_detector(net, test_set, ec);
 
-    // FP16 storage on an independent clone (the int8 snapshot below folds BN
-    // into `net` as a side effect; the clone keeps the comparison honest).
+    // One clone per row, batch norm folded in all three (int8 requires it),
+    // so the rows differ only in precision.
+    net.fold_batchnorm();
+    Network fp32_net = clone_network(net);
     Network fp16_net = clone_network(net);
-    fp16_net.set_fp16(true);
-    const DetectionMetrics fp16_m = evaluate_detector(fp16_net, test_set, ec);
-
+    fp16_net.set_precision(Precision::kF16);
     // Calibrated int8: calibrate on the benchmark's train split, evaluate
     // through the same evaluator as the float paths.
+    Network int8_net = clone_network(net);
     std::vector<Image> calib;
     for (std::size_t i = 0; i < train_set.size() && i < 8; ++i) {
         calib.push_back(train_set.image(i));
     }
-    QuantizedNetwork quant(net, calibrate_int8(net, calib, ec));
-    const DetectionMetrics int8_m = evaluate_detector(net, test_set, ec, &quant);
+    int8_net.set_precision(Precision::kInt8, calibrate_int8(int8_net, calib, ec));
+    int8_net.set_batch(1);
+
+    const DetectionMetrics fp32_m = evaluate_detector(fp32_net, test_set, ec);
+    const DetectionMetrics fp16_m = evaluate_detector(fp16_net, test_set, ec);
+    const DetectionMetrics int8_m = evaluate_detector(int8_net, test_set, ec);
 
     std::printf("== fp32 / fp16 / int8 ablation of DroNet (input 224, %s dispatch) ==\n",
                 simd::to_string(simd::active_level()));
     std::printf("weight storage: %.1f KB float -> %.1f KB int8 (%.2fx smaller)\n",
-                quant.float_weight_bytes() / 1024.0, quant.weight_bytes() / 1024.0,
-                static_cast<double>(quant.float_weight_bytes()) / quant.weight_bytes());
+                fp32_net.weight_bytes() / 1024.0, int8_net.weight_bytes() / 1024.0,
+                static_cast<double>(fp32_net.weight_bytes()) / int8_net.weight_bytes());
 
     Tensor input(net.input_shape());
-    const double fps_fp32 = measure_fps([&] { net.forward(input); }, 1, 3);
+    const double fps_fp32 = measure_fps([&] { fp32_net.forward(input); }, 1, 3);
     const double fps_fp16 = measure_fps([&] { fp16_net.forward(input); }, 1, 3);
-    const double fps_int8 = measure_fps([&] { quant.forward(input); }, 1, 3);
+    const double fps_int8 = measure_fps([&] { int8_net.forward(input); }, 1, 3);
 
     // The paper's composite Score (eq. 3): metrics normalized by their max
     // across the compared configurations, FPS weighted 0.4.

@@ -93,9 +93,13 @@ Detections detect_image(Network& net, const Image& image, const EvalConfig& conf
 
 Detections detect_image_timed(Network& net, const Image& image,
                               const EvalConfig& config, DetectStageTimings* timings,
-                              QuantizedNetwork* int8) {
-    std::vector<Detections> out = detect_images_timed(
-        net, std::span<const Image>(&image, 1), config, timings, int8);
+                              const QuantizedNetwork* int8) {
+    if (int8 != nullptr && &int8->source() != &net) {
+        throw std::invalid_argument(
+            "detect_image_timed: the QuantizedNetwork wraps a different Network");
+    }
+    std::vector<Detections> out =
+        detect_images_timed(net, std::span<const Image>(&image, 1), config, timings);
     return std::move(out.front());
 }
 
@@ -106,14 +110,9 @@ std::vector<Detections> detect_images(Network& net, std::span<const Image> image
 
 std::vector<Detections> detect_images_timed(Network& net, std::span<const Image> images,
                                             const EvalConfig& config,
-                                            DetectStageTimings* timings,
-                                            QuantizedNetwork* int8) {
+                                            DetectStageTimings* timings) {
     RegionLayer* head = net.region();
     if (head == nullptr) throw std::logic_error("detect_images: network has no region layer");
-    if (int8 != nullptr && &int8->source() != &net) {
-        throw std::invalid_argument(
-            "detect_images: the QuantizedNetwork wraps a different Network");
-    }
     if (images.empty()) return {};
     net.set_batch(static_cast<int>(images.size()));
     const Shape in = net.input_shape();
@@ -124,11 +123,7 @@ std::vector<Detections> detect_images_timed(Network& net, std::span<const Image>
         pre[b] = preprocess_image(images[b], in, config, input, static_cast<int>(b));
     }
     if (timings != nullptr) timings->preprocess_ms = lap_ms(mark);
-    if (int8 != nullptr) {
-        int8->forward(input);
-    } else {
-        net.forward(input, /*train=*/false);
-    }
+    net.forward(input, /*train=*/false);
     if (timings != nullptr) timings->forward_ms = lap_ms(mark);
     std::vector<Detections> out(images.size());
     for (std::size_t b = 0; b < images.size(); ++b) {
@@ -144,11 +139,10 @@ std::vector<Detections> detect_images_timed(Network& net, std::span<const Image>
 }
 
 DetectionMetrics evaluate_detector(Network& net, const DetectionDataset& ds,
-                                   const EvalConfig& config, QuantizedNetwork* int8) {
+                                   const EvalConfig& config) {
     DetectionMetrics total;
     for (std::size_t i = 0; i < ds.size(); ++i) {
-        const Detections dets =
-            detect_image_timed(net, ds.image(i), config, nullptr, int8);
+        const Detections dets = detect_image(net, ds.image(i), config);
         total += match_detections(dets, ds.truths(i), config.match_iou);
     }
     return total;
@@ -163,7 +157,7 @@ Int8Calibration calibrate_int8(Network& net, std::span<const Image> images,
     for (std::size_t b = 0; b < images.size(); ++b) {
         (void)preprocess_image(images[b], in, config, input, static_cast<int>(b));
     }
-    return QuantizedNetwork::calibrate(net, std::span<const Tensor>(&input, 1));
+    return calibrate(net, std::span<const Tensor>(&input, 1));
 }
 
 }  // namespace dronet

@@ -42,13 +42,13 @@ struct DetectStageTimings {
                                       const EvalConfig& config = {});
 
 /// Same computation as detect_image (bit-identical results), additionally
-/// filling `timings` when non-null. When `int8` is non-null (it must wrap
-/// this same `net`), the forward pass runs through the quantized path;
-/// preprocessing, decode and postprocessing are unchanged.
+/// filling `timings` when non-null. The network's precision decides the
+/// forward's arithmetic. `int8` serves only the repository benchmark: when
+/// non-null it must wrap this same `net` (std::invalid_argument otherwise).
 [[nodiscard]] Detections detect_image_timed(Network& net, const Image& image,
                                             const EvalConfig& config,
                                             DetectStageTimings* timings,
-                                            QuantizedNetwork* int8 = nullptr);
+                                            const QuantizedNetwork* int8 = nullptr);
 
 /// Batched detection: preprocesses all `images` into one batch-N input tensor,
 /// runs a single forward pass, and decodes/post-processes per batch index.
@@ -61,12 +61,11 @@ struct DetectStageTimings {
                                                     const EvalConfig& config = {});
 
 /// detect_images with aggregate per-stage timings for the whole batch
-/// (filled when `timings` is non-null). When `int8` is non-null (wrapping
-/// this same `net`), the single batched forward runs through the quantized
-/// path — batch-N int8 results are bit-identical per image to batch-1 int8.
+/// (filled when `timings` is non-null). Bit-identical per image to batch-1 at
+/// every precision, int8 included.
 [[nodiscard]] std::vector<Detections> detect_images_timed(
     Network& net, std::span<const Image> images, const EvalConfig& config,
-    DetectStageTimings* timings, QuantizedNetwork* int8 = nullptr);
+    DetectStageTimings* timings);
 
 /// Maps network-space detections back through the letterbox transform into
 /// source-image normalized coordinates, clamping every box to the valid [0,1]
@@ -77,17 +76,16 @@ struct DetectStageTimings {
 [[nodiscard]] Detections unletterbox(Detections dets, const Letterbox& lb, int net_w,
                                      int net_h, int src_w, int src_h);
 
-/// Evaluates the detector over every image of `ds` (through the int8 path
-/// when `int8` is non-null).
+/// Evaluates the detector over every image of `ds` at the network's
+/// precision.
 [[nodiscard]] DetectionMetrics evaluate_detector(Network& net, const DetectionDataset& ds,
-                                                 const EvalConfig& config = {},
-                                                 QuantizedNetwork* int8 = nullptr);
+                                                 const EvalConfig& config = {});
 
 /// Int8 calibration over real imagery: letterboxes/resizes `images` exactly
 /// as the detect path would (one batch-N tensor, one float forward) and
 /// records per-conv-layer activation ranges. Re-batches `net` to
 /// images.size(). This is the preferred calibration source; pass the result
-/// to QuantizedNetwork's two-argument constructor.
+/// to Network::set_precision(Precision::kInt8, ...).
 [[nodiscard]] Int8Calibration calibrate_int8(Network& net, std::span<const Image> images,
                                              const EvalConfig& config = {});
 

@@ -48,8 +48,11 @@ Network clone_network(const Network& src) {
     if (const RegionLayer* from_head = src.region()) {
         dst.region()->set_seen(from_head->seen());
     }
-    // After the weight copy, so the clone's halves encode the copied floats.
-    if (src.fp16()) dst.set_fp16(true);
+    // After the weight copy, so the clone's halves or int8 weights encode the
+    // copied floats (an int8 source is already folded, and so is its clone).
+    if (src.precision() != Precision::kF32) {
+        dst.set_precision(src.precision(), src.calibration());
+    }
     return dst;
 }
 

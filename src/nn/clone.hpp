@@ -15,7 +15,8 @@ namespace dronet {
 
 /// Deep-copies `src`: architecture (via cfg round-trip), every trainable
 /// parameter block (values, gradients, momentum), serialized batch-norm
-/// statistics, the batch counter and the region layer's `seen` counter.
+/// statistics, the batch counter, the region layer's `seen` counter, and the
+/// precision (an int8 clone takes the source's calibrated ranges).
 /// Throws std::logic_error if the rebuilt structure does not match `src`
 /// (which would indicate a cfg emitter/parser bug).
 [[nodiscard]] Network clone_network(const Network& src);

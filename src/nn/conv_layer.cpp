@@ -6,7 +6,9 @@
 
 #include "nn/network.hpp"
 #include "simd/half.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_i8.hpp"
 #include "tensor/ops.hpp"
 
 namespace dronet {
@@ -78,9 +80,15 @@ std::int64_t ConvolutionalLayer::flops() const {
 }
 
 std::size_t ConvolutionalLayer::workspace_bytes() const {
-    if (config_.ksize == 1 && config_.stride == 1 && config_.pad == 0) return 0;
-    return sizeof(float) * static_cast<std::size_t>(geo_.col_rows()) *
-           static_cast<std::size_t>(geo_.col_cols());
+    const auto cols = static_cast<std::size_t>(geo_.col_cols());
+    const std::size_t col_bytes =
+        is_1x1() ? 0 : static_cast<std::size_t>(geo_.col_rows()) * cols;
+    if (precision_ == Precision::kInt8) {
+        // forward_int8's int32 accumulators, quantized input and col matrix.
+        return sizeof(std::int32_t) * static_cast<std::size_t>(config_.filters) * cols +
+               static_cast<std::size_t>(input_shape_.chw()) + col_bytes;
+    }
+    return sizeof(float) * col_bytes;
 }
 
 std::int64_t ConvolutionalLayer::memory_bytes() const {
@@ -118,23 +126,26 @@ void ConvolutionalLayer::forward(const Tensor& input, Network& net, bool train) 
     if (input.shape() != input_shape_) {
         throw std::invalid_argument("ConvolutionalLayer::forward: shape mismatch");
     }
-    if (train && fp16_storage()) {
-        throw std::logic_error(
-            "ConvolutionalLayer::forward: fp16 storage is inference-only");
+    if (train && precision_ != Precision::kF32) {
+        throw std::logic_error("ConvolutionalLayer::forward: fp16 and int8 are inference-only");
     }
+    if (precision_ == Precision::kInt8) {
+        forward_int8(input, net);
+        return;
+    }
+    const bool fp16 = precision_ == Precision::kF16;
     const int out_hw = static_cast<int>(output_shape_.hw());
     const int col_rows = geo_.col_rows();
-    const bool is_1x1 = config_.ksize == 1 && config_.stride == 1 && config_.pad == 0;
     for (int b = 0; b < input.shape().n; ++b) {
         const float* in_b = input.data() + static_cast<std::int64_t>(b) * input.shape().chw();
         float* out_b = output_.data() + static_cast<std::int64_t>(b) * output_shape_.chw();
         const float* col = in_b;
-        if (!is_1x1) {
-            float* ws = net.workspace();
+        if (!is_1x1()) {
+            auto* ws = reinterpret_cast<float*>(net.workspace());
             im2col_mt(in_b, geo_, ws, gemm_threads());
             col = ws;
         }
-        if (fp16_storage()) {
+        if (fp16) {
             gemm_halfw(config_.filters, out_hw, col_rows, weights_h_.data(),
                        col_rows, col, out_hw, out_b, out_hw);
         } else {
@@ -148,7 +159,44 @@ void ConvolutionalLayer::forward(const Tensor& input, Network& net, bool train) 
     apply_activation(config_.activation, output_.span());
     // Half activation storage: round the layer output through fp16 precision,
     // exactly what writing halves and re-widening for the next layer costs.
-    if (fp16_storage()) simd::fp16_round_trip(output_.span());
+    if (fp16) simd::fp16_round_trip(output_.span());
+}
+
+// Per batch item: quantize the input once with the calibrated static scale,
+// lower the bytes (im2col only copies or zero-pads and quantize(0) == 0, so
+// this col matrix is bit-identical to quantizing a float col matrix, at
+// 1/ksize^2 of the quantize work), gemm_i8 into int32, then requantize each
+// output row (acc * requant[f] + bias[f]) and apply the activation.
+void ConvolutionalLayer::forward_int8(const Tensor& input, Network& net) {
+    const int out_hw = geo_.col_cols();
+    const int col_rows = geo_.col_rows();
+    const std::int64_t in_chw = input_shape_.chw();
+    const std::int64_t out_chw = output_shape_.chw();
+    // Workspace layout (workspace_bytes): accumulators, input, col matrix.
+    auto* acc = reinterpret_cast<std::int32_t*>(net.workspace());
+    auto* in_q =
+        reinterpret_cast<std::int8_t*>(acc + static_cast<std::int64_t>(config_.filters) * out_hw);
+    std::int8_t* col_q = in_q + in_chw;
+    const auto requant_row = simd::kernels().requant_row;
+    for (int b = 0; b < input.shape().n; ++b) {
+        quantize_buffer(input.data() + b * in_chw, in_chw, int8_.input_scale, in_q);
+        const std::int8_t* col = in_q;
+        if (!is_1x1()) {
+            im2col_mt(in_q, geo_, col_q, gemm_threads());
+            col = col_q;
+        }
+        gemm_i8(config_.filters, out_hw, col_rows, int8_.weights.data(), col_rows, col,
+                out_hw, acc, out_hw);
+        float* out_b = output_.data() + b * out_chw;
+        for (int f = 0; f < config_.filters; ++f) {
+            const auto fi = static_cast<std::size_t>(f);
+            requant_row(acc + static_cast<std::int64_t>(f) * out_hw,
+                        static_cast<std::size_t>(out_hw), int8_.requant[fi], biases_.v[fi],
+                        out_b + static_cast<std::int64_t>(f) * out_hw);
+        }
+        apply_activation(config_.activation,
+                         std::span<float>(out_b, static_cast<std::size_t>(out_chw)));
+    }
 }
 
 void ConvolutionalLayer::batchnorm_backward() {
@@ -192,15 +240,14 @@ void ConvolutionalLayer::backward(const Tensor& input, Tensor* input_delta, Netw
 
     const int out_hw = static_cast<int>(output_shape_.hw());
     const int col_rows = geo_.col_rows();
-    const bool is_1x1 = config_.ksize == 1 && config_.stride == 1 && config_.pad == 0;
+    auto* ws = reinterpret_cast<float*>(net.workspace());
     for (int b = 0; b < input.shape().n; ++b) {
         const float* in_b = input.data() + static_cast<std::int64_t>(b) * input.shape().chw();
         const float* delta_b =
             delta_.data() + static_cast<std::int64_t>(b) * output_shape_.chw();
         // dW += delta_b * col^T
         const float* col = in_b;
-        if (!is_1x1) {
-            float* ws = net.workspace();
+        if (!is_1x1()) {
             im2col_mt(in_b, geo_, ws, gemm_threads());
             col = ws;
         }
@@ -209,13 +256,12 @@ void ConvolutionalLayer::backward(const Tensor& input, Tensor* input_delta, Netw
         if (input_delta != nullptr) {
             float* in_delta_b =
                 input_delta->data() + static_cast<std::int64_t>(b) * input.shape().chw();
-            if (is_1x1) {
+            if (is_1x1()) {
                 // dcol aliases the input plane directly: accumulate W^T * delta.
                 gemm(true, false, col_rows, out_hw, config_.filters, 1.0f,
                      weights_.v.data(), col_rows, delta_b, out_hw, 1.0f, in_delta_b,
                      out_hw);
             } else {
-                float* ws = net.workspace();
                 gemm(true, false, col_rows, out_hw, config_.filters, 1.0f,
                      weights_.v.data(), col_rows, delta_b, out_hw, 0.0f, ws, out_hw);
                 col2im(ws, geo_, in_delta_b);
@@ -244,17 +290,49 @@ void ConvolutionalLayer::fold_batchnorm() {
     rolling_mean_.clear();
     rolling_variance_.clear();
     x_norm_ = Tensor();
-    // Folding rewrote the float weights; refresh the half copies.
-    if (fp16_storage()) set_fp16_storage(true);
+    // Folding rewrote the float weights; refresh the half copies. (An int8
+    // layer folded when it was quantized, so it never gets here.)
+    if (precision_ == Precision::kF16) set_precision(Precision::kF16);
 }
 
-void ConvolutionalLayer::set_fp16_storage(bool on) {
-    if (!on) {
-        weights_h_.clear();
-        return;
+void ConvolutionalLayer::set_precision(Precision precision, float input_max_abs) {
+    if (precision == Precision::kInt8) fold_batchnorm();
+    precision_ = precision;
+    weights_h_.clear();
+    int8_ = Int8Weights{};
+    if (precision == Precision::kF16) {
+        weights_h_.resize(weights_.size());
+        simd::floats_to_halfs(weights_.v.data(), weights_h_.data(), weights_.size());
+    } else if (precision == Precision::kInt8) {
+        const int fan_in = input_shape_.c * config_.ksize * config_.ksize;
+        const auto filters = static_cast<std::size_t>(config_.filters);
+        int8_.input_scale = input_max_abs > 0.0f ? input_max_abs / 127.0f : 1.0f;
+        int8_.weights.resize(weights_.size());
+        int8_.scales.resize(filters);
+        int8_.requant.resize(filters);
+        for (std::size_t f = 0; f < filters; ++f) {
+            const float* row = weights_.v.data() + static_cast<std::int64_t>(f) * fan_in;
+            const float scale = quantization_scale(row, fan_in);
+            int8_.scales[f] = scale;
+            int8_.requant[f] = scale * int8_.input_scale;
+            quantize_buffer(row, fan_in, scale,
+                            int8_.weights.data() + static_cast<std::int64_t>(f) * fan_in);
+        }
     }
-    weights_h_.resize(weights_.size());
-    simd::floats_to_halfs(weights_.v.data(), weights_h_.data(), weights_.size());
+}
+
+std::size_t ConvolutionalLayer::weight_bytes() const noexcept {
+    const std::size_t bias_bytes = biases_.size() * sizeof(float);
+    switch (precision_) {
+        case Precision::kF16:
+            return weights_h_.size() * sizeof(std::uint16_t) + bias_bytes;
+        case Precision::kInt8:
+            return int8_.weights.size() +
+                   (int8_.scales.size() + int8_.requant.size()) * sizeof(float) + bias_bytes;
+        case Precision::kF32:
+            break;
+    }
+    return weights_.size() * sizeof(float) + bias_bytes;
 }
 
 void ConvolutionalLayer::forward_direct(const Tensor& input, Tensor& out) const {

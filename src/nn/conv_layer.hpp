@@ -3,9 +3,14 @@
 // Forward lowers to im2col + GEMM, darknet's CPU execution strategy and the
 // dominant cost in every model the paper benchmarks. Training support
 // (backward + gradients) implements the full batch-norm backward pass.
+//
+// Inference runs in one of three weight formats (Precision): fp32, IEEE
+// binary16 storage, or calibrated int8 with int32 accumulation and a fused
+// per-filter requantize epilogue (docs/quantization.md).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/layer.hpp"
@@ -21,6 +26,20 @@ struct ConvConfig {
     int pad = 0;             ///< pixels of zero padding each side
     bool batch_normalize = false;
     Activation activation = Activation::kLeaky;
+};
+
+/// Arithmetic a conv layer runs its inference forward in. kF16 and kInt8 are
+/// inference-only: training through such a layer throws.
+enum class Precision { kF32, kF16, kInt8 };
+
+/// A conv layer's int8 format: per-filter symmetric int8 weights and the
+/// static activation scale calibrated for the layer's input. Empty unless
+/// the layer runs at Precision::kInt8.
+struct Int8Weights {
+    std::vector<std::int8_t> weights;  ///< [filters x fan_in], row-major
+    std::vector<float> scales;         ///< per-filter weight scale
+    std::vector<float> requant;        ///< fused epilogue: scales[f] * input_scale
+    float input_scale = 1.0f;          ///< calibrated max |input| / 127
 };
 
 class ConvolutionalLayer final : public Layer {
@@ -58,24 +77,38 @@ class ConvolutionalLayer final : public Layer {
     /// im2col-vs-direct ablation bench.
     void forward_direct(const Tensor& input, Tensor& out) const;
 
-    /// Inference-only IEEE binary16 storage mode. When on, weights are
-    /// re-encoded as halves from the CURRENT float values (call after loading
-    /// weights / fold_batchnorm — both re-encode automatically thereafter),
-    /// forward runs gemm_halfw on them, and the layer output is rounded
-    /// through fp16 precision to model half activation storage. Training
-    /// through an fp16 layer throws. Tolerances: docs/vectorization.md.
-    void set_fp16_storage(bool on);
-    [[nodiscard]] bool fp16_storage() const noexcept { return !weights_h_.empty(); }
+    /// Switches the inference weight format, encoding it from the CURRENT
+    /// float weights (call after loading weights). The float weights stay.
+    ///  - kF16: weights become halves run through gemm_halfw, and the output
+    ///    is rounded through fp16 to model half activation storage
+    ///    (tolerances: docs/vectorization.md). fold_batchnorm re-encodes.
+    ///  - kInt8: folds batch norm, quantizes each filter, and fixes the input
+    ///    scale at `input_max_abs` / 127 (1 for an empty range).
+    ///  - kF32: drops either encoding.
+    void set_precision(Precision precision, float input_max_abs = 0.0f);
+    [[nodiscard]] Precision precision() const noexcept { return precision_; }
+    [[nodiscard]] const Int8Weights& int8() const noexcept { return int8_; }
+
+    /// Bytes of weight storage in the active format: weights plus biases at
+    /// kF32 and kF16, int8 weights plus per-filter scale, requant and bias
+    /// floats at kInt8.
+    [[nodiscard]] std::size_t weight_bytes() const noexcept;
 
   private:
     void batchnorm_forward(bool train);
     void batchnorm_backward();
+    void forward_int8(const Tensor& input, Network& net);
+    [[nodiscard]] bool is_1x1() const noexcept {
+        return config_.ksize == 1 && config_.stride == 1 && config_.pad == 0;
+    }
 
     ConvConfig config_;
     ConvGeometry geo_;
+    Precision precision_ = Precision::kF32;
 
     Param weights_;
-    std::vector<std::uint16_t> weights_h_;  ///< fp16 weight storage (empty = off)
+    std::vector<std::uint16_t> weights_h_;  ///< kF16 weight storage
+    Int8Weights int8_;                      ///< kInt8 weight storage
     Param biases_;   ///< beta when batch-normalized, plain bias otherwise
     Param scales_;   ///< gamma (batch-norm only)
     std::vector<float> rolling_mean_;

@@ -36,11 +36,13 @@ Shape Network::next_input_shape() const {
 void Network::refresh_workspace() {
     std::size_t bytes = 0;
     for (const auto& l : layers_) bytes = std::max(bytes, l->workspace_bytes());
-    // Grow-only: im2col fully rewrites the workspace before every use, so a
+    // Grow-only: every conv forward fully rewrites the scratch it uses, so a
     // shrinking resize (batch toggling in the serving micro-batch path) need
     // not reallocate or zero.
-    const std::size_t floats = (bytes + sizeof(float) - 1) / sizeof(float);
-    if (workspace_.size() < floats) workspace_.resize(floats, 0.0f);
+    if (workspace_size_ < bytes) {
+        workspace_ = std::make_unique<std::byte[]>(bytes);
+        workspace_size_ = bytes;
+    }
 }
 
 template <typename L, typename... Args>
@@ -238,13 +240,34 @@ void Network::fold_batchnorm() {
     }
 }
 
-void Network::set_fp16(bool on) {
-    fp16_ = on;
+void Network::set_precision(Precision precision, const Int8Calibration& calibration) {
+    std::vector<ConvolutionalLayer*> convs;
     for (auto& l : layers_) {
-        if (auto* conv = dynamic_cast<ConvolutionalLayer*>(l.get())) {
-            conv->set_fp16_storage(on);
+        if (auto* conv = dynamic_cast<ConvolutionalLayer*>(l.get())) convs.push_back(conv);
+    }
+    if (precision == Precision::kInt8 && calibration.layer_count() != convs.size()) {
+        throw std::invalid_argument(
+            "Network::set_precision: calibration covers " +
+            std::to_string(calibration.layer_count()) + " conv layers, the network has " +
+            std::to_string(convs.size()));
+    }
+    for (std::size_t i = 0; i < convs.size(); ++i) {
+        const float range = precision == Precision::kInt8 ? calibration.max_abs[i] : 0.0f;
+        convs[i]->set_precision(precision, range);
+    }
+    precision_ = precision;
+    calibration_ = precision == Precision::kInt8 ? calibration : Int8Calibration{};
+    refresh_workspace();
+}
+
+std::size_t Network::weight_bytes() const {
+    std::size_t total = 0;
+    for (const auto& l : layers_) {
+        if (const auto* conv = dynamic_cast<const ConvolutionalLayer*>(l.get())) {
+            total += conv->weight_bytes();
         }
     }
+    return total;
 }
 
 }  // namespace dronet

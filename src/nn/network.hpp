@@ -4,8 +4,14 @@
 // workspace, the batch counter driving the LR schedule, and the RNG used for
 // weight initialization. Networks are built programmatically (model zoo) or
 // parsed from darknet-format .cfg text (nn/cfg.hpp).
+//
+// One forward loop serves every precision: set_precision switches the conv
+// layers between fp32, fp16 and calibrated int8 (docs/quantization.md), and
+// the per-layer profiler, the numerics guards and the network.forward fault
+// site cover all three.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -38,6 +44,16 @@ struct NetConfig {
     std::int64_t max_batches = 0;  ///< 0 = unbounded
     std::vector<LrSchedule::Step> lr_steps;
     std::uint64_t seed = 0x5eed;
+};
+
+/// Per-conv-layer input activation ranges from a calibration pass
+/// (nn/quantize.hpp), in network order: what Precision::kInt8 needs to fix
+/// each layer's static input scale. Replicas cloned from one source network
+/// can share a single calibration (identical weights imply identical ranges).
+struct Int8Calibration {
+    std::vector<float> max_abs;  ///< max |input activation| per conv layer
+
+    [[nodiscard]] std::size_t layer_count() const noexcept { return max_abs.size(); }
 };
 
 class Network {
@@ -110,12 +126,21 @@ class Network {
     /// Folds batch-norm into conv weights across all layers (inference only).
     void fold_batchnorm();
 
-    /// Switches every conv layer to IEEE binary16 weight + activation storage
-    /// (inference only; training a half network throws). Call after weights
-    /// are loaded — enabling re-encodes halves from the current floats.
-    /// Accuracy impact and tolerances: docs/vectorization.md.
-    void set_fp16(bool on);
-    [[nodiscard]] bool fp16() const noexcept { return fp16_; }
+    /// Switches every conv layer to `precision`, encoding it from the current
+    /// float weights (call after weights are loaded). kF16 and kInt8 are
+    /// inference-only; training such a network throws. kInt8 takes one
+    /// calibrated range per conv layer, throws std::invalid_argument unless
+    /// `calibration` covers exactly the network's conv layers, and folds
+    /// batch norm for good. Tolerances: docs/vectorization.md (fp16),
+    /// docs/quantization.md (int8).
+    void set_precision(Precision precision, const Int8Calibration& calibration = {});
+    [[nodiscard]] Precision precision() const noexcept { return precision_; }
+    /// The ranges the last set_precision(kInt8) applied; empty otherwise.
+    [[nodiscard]] const Int8Calibration& calibration() const noexcept {
+        return calibration_;
+    }
+    /// Conv weight storage in each layer's active format, summed.
+    [[nodiscard]] std::size_t weight_bytes() const;
 
     [[nodiscard]] NetConfig& config() noexcept { return config_; }
     [[nodiscard]] const NetConfig& config() const noexcept { return config_; }
@@ -125,8 +150,11 @@ class Network {
     [[nodiscard]] const LrSchedule& schedule() const noexcept { return schedule_; }
     [[nodiscard]] float current_lr() const { return schedule_.at(batch_num_); }
 
-    /// Shared im2col scratch; sized for the largest conv layer.
-    [[nodiscard]] float* workspace() noexcept { return workspace_.data(); }
+    /// Shared conv scratch (the float col matrix, or an int8 layer's
+    /// accumulators, quantized input and col matrix), sized for the largest
+    /// layer's need on add, set_batch, resize_input and set_precision, and
+    /// never shrunk. Byte storage, so any of those types may live in it.
+    [[nodiscard]] std::byte* workspace() noexcept { return workspace_.get(); }
 
     /// Per-layer timing sink, populated by forward() while profiling is
     /// enabled (profile::profiling_enabled()). Null until the first profiled
@@ -148,9 +176,11 @@ class Network {
     LrSchedule schedule_;
     Rng rng_;
     std::vector<std::unique_ptr<Layer>> layers_;
-    std::vector<float> workspace_;
+    std::unique_ptr<std::byte[]> workspace_;
+    std::size_t workspace_size_ = 0;  ///< bytes
     Tensor input_copy_;  ///< retained for backward()
-    bool fp16_ = false;
+    Precision precision_ = Precision::kF32;
+    Int8Calibration calibration_;
     std::int64_t batch_num_ = 0;
     std::unique_ptr<profile::ForwardProfiler> profiler_;
 };

@@ -8,6 +8,7 @@
 #include "eval/evaluator.hpp"
 #include "fault/fault.hpp"
 #include "nn/clone.hpp"
+#include "nn/quantize.hpp"
 #include "nn/weights_io.hpp"
 #include "tensor/rng.hpp"
 
@@ -68,9 +69,9 @@ DetectionService::DetectionService(const Network& prototype, ServiceConfig confi
     if (prototype.region() == nullptr) {
         throw std::invalid_argument("DetectionService: network has no region layer");
     }
-    if (config_.int8 && prototype.fp16()) {
+    if (prototype.precision() != Precision::kF32) {
         throw std::invalid_argument(
-            "DetectionService: int8 and fp16 modes are mutually exclusive");
+            "DetectionService: the prototype must be fp32; set ServiceConfig::precision");
     }
     if (config_.canary_max_divergence <= 0 || config_.reload_probation_ms < 0 ||
         config_.reload_rollback_failures <= 0) {
@@ -101,14 +102,15 @@ DetectionService::~DetectionService() { stop(); }
 // Mirrors construction for every generation: per-worker clones pre-reserved
 // at the largest batch (tensor storage is grow-only, so later per-batch
 // set_batch() calls in detect_images are allocation-free), the degraded
-// geometry warmed when degradation is configured, and — under int8 — one
-// calibration computed on replica 0 and shared (clones carry identical
-// weights, so every replica quantizes identically).
+// geometry warmed when degradation is configured, and each replica set to
+// the configured precision — under int8 with one calibration computed on
+// replica 0 and shared (clones carry identical weights, so every replica
+// quantizes identically).
 std::shared_ptr<DetectionService::ModelSet>
 DetectionService::build_model_set(Network candidate) {
     auto set = std::make_shared<ModelSet>();
     set->replicas.reserve(static_cast<std::size_t>(config_.workers));
-    Int8Calibration int8_calib;
+    Int8Calibration calibration;
     for (int i = 0; i < config_.workers; ++i) {
         auto replica = std::make_unique<Network>(clone_network(candidate));
         replica->set_batch(config_.max_batch);
@@ -116,11 +118,12 @@ DetectionService::build_model_set(Network candidate) {
             replica->resize_input(config_.degraded_size, config_.degraded_size);
             replica->resize_input(full_size_, full_size_);
         }
-        if (config_.int8) {
-            if (i == 0) int8_calib = QuantizedNetwork::self_calibrate(*replica);
-            set->qnets.push_back(
-                std::make_unique<QuantizedNetwork>(*replica, int8_calib));
+        if (config_.precision == Precision::kInt8 && i == 0) {
+            calibration = self_calibrate(*replica);
+            // profile_reports() covers served forwards, not calibration ones.
+            if (replica->profiler() != nullptr) replica->profiler()->reset();
         }
+        replica->set_precision(config_.precision, calibration);
         replica->set_batch(1);
         set->replicas.push_back(std::move(replica));
     }
@@ -289,11 +292,9 @@ void DetectionService::worker_loop(std::size_t worker_id) {
             // last worker moves on.
             const std::shared_ptr<const ModelSet> set = current_set();
             Network& net = *set->replicas[worker_id];
-            QuantizedNetwork* qnet =
-                set->qnets.empty() ? nullptr : set->qnets[worker_id].get();
             bool degraded_now = false;
             apply_degrade_mode(net, degraded_now);
-            process_batch(net, qnet, jobs, degraded_now);
+            process_batch(net, jobs, degraded_now);
         }
     } catch (const std::exception& e) {
         on_worker_death(slot, jobs, e.what());
@@ -346,8 +347,8 @@ void DetectionService::watchdog_loop() {
     }
 }
 
-Detections DetectionService::detect_with_retry(Network& net, QuantizedNetwork* qnet,
-                                               const Image& frame, const Job& job,
+Detections DetectionService::detect_with_retry(Network& net, const Image& frame,
+                                               const Job& job,
                                                DetectStageTimings* timings) {
     std::int64_t backoff = std::max<std::int64_t>(config_.retry_backoff_ms, 0);
     for (int attempt = 0;; ++attempt) {
@@ -356,7 +357,7 @@ Detections DetectionService::detect_with_retry(Network& net, QuantizedNetwork* q
             throw DeadlineExpired{};
         }
         try {
-            return detect_image_timed(net, frame, config_.pipeline.eval, timings, qnet);
+            return detect_image_timed(net, frame, config_.pipeline.eval, timings);
         } catch (const fault::WorkerKillFault&) {
             throw;  // unrecoverable: escalate to the worker loop / watchdog
         } catch (const std::logic_error&) {
@@ -378,8 +379,8 @@ Detections DetectionService::detect_with_retry(Network& net, QuantizedNetwork* q
 // to processing each frame alone. On a batch error every frame is retried
 // solo (with the configured transient-retry budget), so one bad or unlucky
 // frame never fails its batch-mates.
-void DetectionService::process_batch(Network& net, QuantizedNetwork* qnet,
-                                     std::vector<Job>& jobs, bool degraded) {
+void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
+                                     bool degraded) {
     const std::size_t n = jobs.size();
     stats_.record_batch(n);
     const auto popped = std::chrono::steady_clock::now();
@@ -391,7 +392,7 @@ void DetectionService::process_batch(Network& net, QuantizedNetwork* qnet,
     std::vector<Detections> dets;
     bool batch_ok = true;
     try {
-        dets = detect_images_timed(net, frames, config_.pipeline.eval, &stages, qnet);
+        dets = detect_images_timed(net, frames, config_.pipeline.eval, &stages);
     } catch (const fault::WorkerKillFault&) {
         throw;  // worker_loop fails the held jobs and marks the slot dead
     } catch (...) {
@@ -412,7 +413,7 @@ void DetectionService::process_batch(Network& net, QuantizedNetwork* qnet,
             DetectStageTimings solo;
             try {
                 r.frame.detections =
-                    detect_with_retry(net, qnet, frames[i], job, &solo);
+                    detect_with_retry(net, frames[i], job, &solo);
                 if (config_.pipeline.altitude_filter_enabled) {
                     const auto t0 = std::chrono::steady_clock::now();
                     r.frame.detections = altitude_filter_.apply(
@@ -644,15 +645,14 @@ ReloadOutcome DetectionService::reload_checkpoint(
     const std::shared_ptr<const ModelSet> live = current_set();
     Network& reference = *live->reference;
     try {
+        // The reference is fp32, so the candidate loads floats and the
+        // replicas built from it encode the configured precision afresh.
         Network candidate = clone_network(reference);
-        const bool fp16 = candidate.fp16();
         // load_weights pre-checks the exact byte size (truncated or padded
         // files are rejected before any state changes) and restores every
-        // parameter block, so the fp16 re-encode below sees the new floats.
-        if (fp16) candidate.set_fp16(false);
+        // parameter block.
         DRONET_FAULT_POINT(fault::kSiteReloadRead);
         load_weights(candidate, weights);
-        if (fp16) candidate.set_fp16(true);
         run_canary(candidate, reference);
         auto set = build_model_set(std::move(candidate));
         {

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "nn/network.hpp"
-#include "nn/quantize.hpp"
 #include "serve/bounded_queue.hpp"
 #include "serve/serve_stats.hpp"
 #include "sync/mutex.hpp"
@@ -116,14 +115,13 @@ struct ServiceConfig {
     /// allocation-free (grow-only tensors). Required when
     /// degrade_high_watermark > 0.
     int degraded_size = 0;
-    /// Serve through the calibrated int8 path: each replica gets its own
-    /// QuantizedNetwork (private scratch), all sharing one calibration
-    /// computed once at construction (clones have identical weights, so the
-    /// activation ranges — and therefore detections — are identical across
-    /// replicas). Micro-batching and degraded-input switching work unchanged:
-    /// the quantized forward follows the replica's live geometry. Mutually
-    /// exclusive with an fp16 prototype.
-    bool int8 = false;
+    /// Arithmetic every replica serves in (Network::set_precision). The
+    /// prototype itself must stay kF32: it is the reload source and the
+    /// canary baseline, and int8 folds batch norm for good. Under kInt8 one
+    /// self_calibrate on replica 0 is shared by all replicas (clones have
+    /// identical weights, so activation ranges — and therefore detections —
+    /// are identical across replicas and batch sizes).
+    Precision precision = Precision::kF32;
     /// Supervisor thread that respawns dead workers (replica preserved) and
     /// counts the restart in ServeStats. Leave on unless the process manages
     /// worker death externally.
@@ -165,8 +163,9 @@ class DetectionService {
     /// Builds `config.workers` independent replicas of `prototype` (which is
     /// only read during construction and may be used freely afterwards) and
     /// starts the worker threads. Throws std::invalid_argument for a
-    /// prototype without a region layer, a non-positive worker count, or an
-    /// inconsistent self-healing configuration.
+    /// prototype without a region layer or not at Precision::kF32, a
+    /// non-positive worker count, or an inconsistent self-healing
+    /// configuration.
     DetectionService(const Network& prototype, ServiceConfig config);
 
     /// Stops accepting work, waits for queued frames, joins the workers.
@@ -206,15 +205,15 @@ class DetectionService {
     /// Hot-swaps the serving model to the checkpoint at `weights`, without
     /// dropping a single in-flight future. Runs entirely on the calling
     /// thread (never a worker thread): a candidate network is cloned from
-    /// the live model's architecture, the checkpoint is loaded (exact
-    /// byte-size pre-check, fp16 re-encode / int8 re-calibration per the
-    /// active mode), and a canary gate — deterministic synthetic forwards
-    /// checked for finite outputs and bounded divergence vs the live model
-    /// (`canary_max_divergence`) — must pass before fresh replicas are built
-    /// and swapped in. Workers pick up the new set at their next batch, so
-    /// every in-flight frame finishes on the model it started on. Any
-    /// failure (unreadable/truncated file, NaN outputs, divergence) rejects
-    /// the candidate and leaves serving byte-identical to before the call.
+    /// the live model's fp32 reference, the checkpoint is loaded (exact
+    /// byte-size pre-check), and a canary gate — deterministic synthetic
+    /// fp32 forwards checked for finite outputs and bounded divergence vs the
+    /// live reference (`canary_max_divergence`) — must pass before fresh
+    /// replicas are built at `precision` and swapped in. Workers pick up the
+    /// new set at their next batch, so every in-flight frame finishes on the
+    /// model it started on. Any failure (unreadable/truncated file, NaN
+    /// outputs, divergence) rejects the candidate and leaves serving
+    /// byte-identical to before the call.
     /// Reloads are serialized; concurrent callers queue. Thread-safe.
     [[nodiscard]] ReloadOutcome reload_checkpoint(const std::filesystem::path& weights);
 
@@ -252,26 +251,23 @@ class DetectionService {
         std::atomic<int> state{kRunning};
     };
 
-    /// One versioned generation of the serving model: per-worker replicas
-    /// (plus parallel QuantizedNetworks when int8) and a `reference` network
-    /// workers never touch — the canary baseline and the architecture source
-    /// for the next candidate. Shared pointers let an in-flight batch finish
-    /// on the generation it started with after a swap; the old generation is
-    /// freed when its last worker releases it.
+    /// One versioned generation of the serving model: per-worker replicas at
+    /// `precision` and an fp32 `reference` network workers never touch — the
+    /// canary baseline and the architecture source for the next candidate.
+    /// Shared pointers let an in-flight batch finish on the generation it
+    /// started with after a swap; the old generation is freed when its last
+    /// worker releases it.
     struct ModelSet {
         std::uint64_t version = 0;
         std::vector<std::unique_ptr<Network>> replicas;
-        std::vector<std::unique_ptr<QuantizedNetwork>> qnets;
         std::unique_ptr<Network> reference;  ///< forwarded only under reload_mu_
     };
 
     void worker_loop(std::size_t worker_id);
     void on_worker_death(WorkerSlot& slot, std::vector<Job>& jobs, const char* what);
     void watchdog_loop();
-    void process_batch(Network& net, QuantizedNetwork* qnet, std::vector<Job>& jobs,
-                       bool degraded);
-    Detections detect_with_retry(Network& net, QuantizedNetwork* qnet,
-                                 const Image& frame, const Job& job,
+    void process_batch(Network& net, std::vector<Job>& jobs, bool degraded);
+    Detections detect_with_retry(Network& net, const Image& frame, const Job& job,
                                  DetectStageTimings* timings);
     void resolve(Job& job, ServeResult r);
     void expire_overdue(std::vector<Job>& jobs);
@@ -281,9 +277,9 @@ class DetectionService {
     void note_frame_success() EXCLUDES(breaker_mu_);
     void finish_one() EXCLUDES(inflight_mu_);
 
-    /// Builds one complete model generation (replicas + int8 calibration +
-    /// degrade warm-up, mirroring construction) from `candidate`, which is
-    /// consumed and becomes the set's reference network.
+    /// Builds one complete model generation (replicas at `precision` +
+    /// degrade warm-up, mirroring construction) from the fp32 `candidate`,
+    /// which is consumed and becomes the set's reference network.
     [[nodiscard]] std::shared_ptr<ModelSet> build_model_set(Network candidate);
     [[nodiscard]] std::shared_ptr<const ModelSet> current_set() const
         EXCLUDES(model_mu_);

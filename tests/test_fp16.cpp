@@ -29,7 +29,7 @@ TEST(Fp16Mode, LayerOutputsWithinTolerance) {
     Network fp16 = clone_network(fp32);
     fp32.set_batch(1);
     fp16.set_batch(1);
-    fp16.set_fp16(true);
+    fp16.set_precision(Precision::kF16);
 
     Tensor input(fp32.input_shape());
     Rng rng(0xF16);
@@ -57,19 +57,19 @@ TEST(Fp16Mode, LayerOutputsWithinTolerance) {
 TEST(Fp16Mode, TrainingThrows) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 64});
     net.set_batch(1);
-    net.set_fp16(true);
+    net.set_precision(Precision::kF16);
     Tensor input(net.input_shape());
     EXPECT_THROW(net.forward(input, /*train=*/true), std::logic_error);
-    // Switching fp16 back off restores trainability.
-    net.set_fp16(false);
+    // Switching back to fp32 restores trainability.
+    net.set_precision(Precision::kF32);
     EXPECT_NO_THROW(net.forward(input, /*train=*/true));
 }
 
 TEST(Fp16Mode, CloneCarriesFp16) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 64});
-    net.set_fp16(true);
+    net.set_precision(Precision::kF16);
     const Network copy = clone_network(net);
-    EXPECT_TRUE(copy.fp16());
+    EXPECT_EQ(copy.precision(), Precision::kF16);
 }
 
 TEST(Fp16Mode, CheckpointMetricsCloseToFp32) {
@@ -79,7 +79,7 @@ TEST(Fp16Mode, CheckpointMetricsCloseToFp32) {
     net->set_batch(1);
     net->resize_input(224, 224);
     const DetectionMetrics fp32 = evaluate_detector(*net, test_set, {});
-    net->set_fp16(true);
+    net->set_precision(Precision::kF16);
     const DetectionMetrics fp16 = evaluate_detector(*net, test_set, {});
     // Half storage may move individual scores across thresholds but must not
     // change the operating point materially.

@@ -309,7 +309,7 @@ TEST(Reload, Int8ServiceReloadRecalibratesAndMatchesColdStart) {
         generate_dataset(benchmark_scene_config(96), 4, /*seed=*/0x5eed);
 
     serve::ServiceConfig sc = small_config();
-    sc.int8 = true;
+    sc.precision = Precision::kInt8;
     DetectionService service(net, sc);
     const ReloadOutcome out = service.reload_checkpoint(path);
     ASSERT_TRUE(out.ok) << out.error;
@@ -334,17 +334,16 @@ TEST(Reload, Fp16ServiceReloadReencodesAndMatchesColdStart) {
     const DetectionDataset frames =
         generate_dataset(benchmark_scene_config(96), 4, /*seed=*/0x5eed);
 
-    Network net = clone_network(proto);
-    net.set_fp16(true);
-    DetectionService service(net, small_config());
+    serve::ServiceConfig sc = small_config();
+    sc.precision = Precision::kF16;
+    DetectionService service(proto, sc);
     const ReloadOutcome out = service.reload_checkpoint(path);
     ASSERT_TRUE(out.ok) << out.error;
     EXPECT_EQ(service.model_version(), 2u);
 
     Network cold = clone_network(proto);
     load_weights(cold, path);
-    cold.set_fp16(true);
-    DetectionService cold_service(cold, small_config());
+    DetectionService cold_service(cold, sc);
     for (std::size_t i = 0; i < frames.size(); ++i) {
         expect_same_detections(detect_one(service, frames.image(i)),
                                detect_one(cold_service, frames.image(i)));

@@ -3,17 +3,22 @@
 // `a == "--flag"` parser idiom and asserts every parsed flag is documented in
 // the tool's --help output (and that --help itself exits 0). This is what
 // keeps kUsage and the parser from drifting apart — adding a flag without
-// documenting it fails here.
+// documenting it fails here. One case also runs detect end to end.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <string>
+
+#include "data/dataset.hpp"
+#include "image/ppm.hpp"
 
 #ifndef DRONET_DETECT_PATH
 #define DRONET_DETECT_PATH ""
@@ -53,9 +58,9 @@ struct HelpRun {
     std::string stdout_text;
 };
 
-HelpRun run_help(const std::string& binary) {
+HelpRun run_command(const std::string& command) {
     HelpRun r;
-    FILE* pipe = popen((binary + " --help 2>/dev/null").c_str(), "r");
+    FILE* pipe = popen(command.c_str(), "r");
     if (pipe == nullptr) return r;
     char chunk[4096];
     std::size_t got;
@@ -65,6 +70,10 @@ HelpRun run_help(const std::string& binary) {
     const int status = pclose(pipe);
     r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return r;
+}
+
+HelpRun run_help(const std::string& binary) {
+    return run_command(binary + " --help 2>/dev/null");
 }
 
 void expect_help_covers_parser(const std::string& binary,
@@ -94,6 +103,27 @@ TEST(ToolsCli, ProfileHelpCoversEveryFlag) {
     expect_help_covers_parser(
         DRONET_PROFILE_PATH,
         std::string(DRONET_TOOLS_SRC_DIR) + "/profile.cpp");
+}
+
+TEST(ToolsCli, DetectInt8ProfileReportsOnlyDetectionForwards) {
+    // --int8 calibrates with one batched fp32 forward before detecting; the
+    // --profile table must hold the two per-image int8 forwards alone.
+    const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                      ("dronet_cli_int8_" + std::to_string(getpid()));
+    std::filesystem::create_directories(dir);
+    const dronet::DetectionDataset frames =
+        dronet::generate_dataset(dronet::benchmark_scene_config(128), 2, /*seed=*/0x1d8);
+    std::string command = "cd " + dir.string() + " && " + DRONET_DETECT_PATH +
+                          " --int8 --profile --size 128";
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        const std::filesystem::path image = dir / ("frame" + std::to_string(i) + ".ppm");
+        dronet::write_ppm(frames.image(i), image);
+        command += " " + image.string();
+    }
+    const HelpRun run = run_command(command + " 2>&1");
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
+    EXPECT_NE(run.stdout_text.find("forwards 2,"), std::string::npos) << run.stdout_text;
 }
 
 TEST(ToolsCli, UnknownFlagIsAnError) {

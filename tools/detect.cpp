@@ -21,7 +21,6 @@
 // checkpoint from the weights/ directory (if present).
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,7 +108,7 @@ int run(int argc, char** argv) {
     }();
     if (!weights_path.empty()) load_weights(net, weights_path);
     net.set_batch(1);
-    if (fp16) net.set_fp16(true);  // after weights: enabling encodes halves
+    if (fp16) net.set_precision(Precision::kF16);  // after weights: encodes halves
     if (net.config().width != size && size > 0) {
         // Honor --size when it divides the model stride.
         try {
@@ -119,7 +118,6 @@ int run(int argc, char** argv) {
         }
     }
 
-    std::optional<QuantizedNetwork> qnet;
     if (int8) {
         // Calibrate on the input imagery itself — the most representative
         // sample set this tool can get (docs/quantization.md).
@@ -127,9 +125,12 @@ int run(int argc, char** argv) {
         for (std::size_t i = 0; i < images.size() && i < 8; ++i) {
             calib_frames.push_back(read_ppm(images[i]));
         }
-        qnet.emplace(net, calibrate_int8(net, calib_frames, post));
+        const std::size_t float_bytes = net.weight_bytes();
+        net.set_precision(Precision::kInt8, calibrate_int8(net, calib_frames, post));
         std::printf("# int8: calibrated on %zu frame(s); conv weights %zu -> %zu bytes\n",
-                    calib_frames.size(), qnet->float_weight_bytes(), qnet->weight_bytes());
+                    calib_frames.size(), float_bytes, net.weight_bytes());
+        // --profile reports the detection forwards, not the calibration one.
+        if (net.profiler() != nullptr) net.profiler()->reset();
     }
 
     for (std::size_t start = 0; start < images.size();
@@ -141,8 +142,7 @@ int run(int argc, char** argv) {
         for (std::size_t i = 0; i < count; ++i) {
             chunk.push_back(read_ppm(images[start + i]));
         }
-        const std::vector<Detections> results = detect_images_timed(
-            net, chunk, post, nullptr, qnet ? &*qnet : nullptr);
+        const std::vector<Detections> results = detect_images(net, chunk, post);
         for (std::size_t i = 0; i < count; ++i) {
             const std::string& path = images[start + i];
             const Detections& dets = results[i];

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
         if (!weights_path.empty()) load_weights(net, weights_path);
         net.set_batch(1);
         if (size > 0 && net.config().width != size) net.resize_input(size, size);
-        if (fp16) net.set_fp16(true);  // after weights: enabling encodes halves
+        if (fp16) net.set_precision(Precision::kF16);  // after weights: encodes halves
 
         Tensor input(net.input_shape());
         Rng rng(0xD20);

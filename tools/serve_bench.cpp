@@ -382,7 +382,6 @@ int run(int argc, char** argv) {
     if (args.fp16 && args.int8) {
         throw std::runtime_error("--fp16 and --int8 are mutually exclusive");
     }
-    if (args.fp16) net.set_fp16(true);  // after weights: enabling encodes halves
 
     // One shared frame pool; each stream replays it from a different offset
     // so streams are out of phase like real cameras.
@@ -396,7 +395,9 @@ int run(int argc, char** argv) {
     sc.policy = args.policy;
     sc.max_batch = args.batch;
     sc.batch_timeout_us = args.batch_timeout_us;
-    sc.int8 = args.int8;
+    sc.precision = args.int8   ? Precision::kInt8
+                   : args.fp16 ? Precision::kF16
+                               : Precision::kF32;
     sc.deadline_ms = args.deadline_ms;
     sc.max_retries = args.retries;
     if (args.degrade_high > 0) {
