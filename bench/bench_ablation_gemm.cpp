@@ -15,7 +15,6 @@
 #include "nn/network.hpp"
 #include "nn/quantize.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/half.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_i8.hpp"
 #include "tensor/rng.hpp"
@@ -203,42 +202,6 @@ void BM_GemmI8SimdLevel(benchmark::State& state) {
 BENCHMARK(BM_GemmI8SimdLevel)
     ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
-
-// FP16 weight-storage GEMM (gemm_halfw: widen half A rows, then the ordinary
-// packed kernel) vs the fp32 GEMM at the same shapes — the per-call widening
-// overhead the --fp16 mode pays for halving weight memory.
-void BM_GemmFp16Weights(benchmark::State& state) {
-    const GemmShape s = kDroNetStages512[state.range(0)];
-    std::vector<float> a32(static_cast<std::size_t>(s.m) * s.k);
-    fill_random(a32, 1);
-    std::vector<std::uint16_t> a16(a32.size());
-    simd::floats_to_halfs(a32.data(), a16.data(), a32.size());
-    std::vector<float> b(static_cast<std::size_t>(s.k) * s.n);
-    std::vector<float> c(static_cast<std::size_t>(s.m) * s.n);
-    fill_random(b, 2);
-    for (auto _ : state) {
-        gemm_halfw(s.m, s.n, s.k, a16.data(), s.k, b.data(), s.n, c.data(), s.n);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.counters["GFLOP/s"] = benchmark::Counter(
-        static_cast<double>(gemm_flops(s.m, s.n, s.k)) * state.iterations() * 1e-9,
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_GemmFp16Weights)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
-
-// End-to-end: DroNet forward with fp16 weight+activation storage vs fp32
-// (BM_DroNetForward below is the fp32 baseline at the same sizes).
-void BM_DroNetForwardFp16(benchmark::State& state) {
-    Network net = build_model(ModelId::kDroNet,
-                              {.input_size = static_cast<int>(state.range(0))});
-    net.set_precision(Precision::kF16);
-    Tensor in(net.input_shape());
-    for (auto _ : state) {
-        net.forward(in);
-        benchmark::DoNotOptimize(net.region());
-    }
-}
-BENCHMARK(BM_DroNetForwardFp16)->Arg(352)->Arg(512)->Unit(benchmark::kMillisecond);
 
 // End-to-end: DroNet forward through the calibrated int8 conv path vs the
 // fp32 baseline at the same sizes (docs/quantization.md records the numbers).

@@ -1,10 +1,10 @@
 // INT8 quantization ablation — the paper's §V future-work item
 // ("performance improvements by applying finer-level optimizations to reduce
-// bitwidth precisions"). Compares the fp32, fp16-storage, and calibrated
-// int8 inference paths on the shipped DroNet checkpoint: model size, host
-// latency, detection accuracy on the synthetic benchmark, and the paper's
-// weighted composite Score (eq. 3) across the three precisions. The numbers
-// land in docs/performance.md and docs/quantization.md.
+// bitwidth precisions"). Compares the fp32 and calibrated int8 inference
+// paths on the shipped DroNet checkpoint: weight format size, host latency,
+// detection accuracy on the synthetic benchmark, and the paper's weighted
+// composite Score (eq. 3) across the two precisions. The numbers land in
+// docs/performance.md and docs/quantization.md.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -26,12 +26,10 @@ int main() {
     EvalConfig ec;
     ec.score_threshold = 0.30f;
 
-    // One clone per row, batch norm folded in all three (int8 requires it),
-    // so the rows differ only in precision.
+    // One clone per row, batch norm folded in both (int8 requires it), so
+    // the rows differ only in precision.
     net.fold_batchnorm();
     Network fp32_net = clone_network(net);
-    Network fp16_net = clone_network(net);
-    fp16_net.set_precision(Precision::kF16);
     // Calibrated int8: calibrate on the benchmark's train split, evaluate
     // through the same evaluator as the float paths.
     Network int8_net = clone_network(net);
@@ -43,10 +41,9 @@ int main() {
     int8_net.set_batch(1);
 
     const DetectionMetrics fp32_m = evaluate_detector(fp32_net, test_set, ec);
-    const DetectionMetrics fp16_m = evaluate_detector(fp16_net, test_set, ec);
     const DetectionMetrics int8_m = evaluate_detector(int8_net, test_set, ec);
 
-    std::printf("== fp32 / fp16 / int8 ablation of DroNet (input 224, %s dispatch) ==\n",
+    std::printf("== fp32 / int8 ablation of DroNet (input 224, %s dispatch) ==\n",
                 simd::to_string(simd::active_level()));
     std::printf("weight storage: %.1f KB float -> %.1f KB int8 (%.2fx smaller)\n",
                 fp32_net.weight_bytes() / 1024.0, int8_net.weight_bytes() / 1024.0,
@@ -54,7 +51,6 @@ int main() {
 
     Tensor input(net.input_shape());
     const double fps_fp32 = measure_fps([&] { fp32_net.forward(input); }, 1, 3);
-    const double fps_fp16 = measure_fps([&] { fp16_net.forward(input); }, 1, 3);
     const double fps_int8 = measure_fps([&] { int8_net.forward(input); }, 1, 3);
 
     // The paper's composite Score (eq. 3): metrics normalized by their max
@@ -62,8 +58,6 @@ int main() {
     const ScoreInputs rows[] = {
         {static_cast<float>(fps_fp32), fp32_m.avg_iou(), fp32_m.sensitivity(),
          fp32_m.precision()},
-        {static_cast<float>(fps_fp16), fp16_m.avg_iou(), fp16_m.sensitivity(),
-         fp16_m.precision()},
         {static_cast<float>(fps_int8), int8_m.avg_iou(), int8_m.sensitivity(),
          int8_m.precision()},
     };
@@ -71,8 +65,8 @@ int main() {
 
     std::printf("\n%-8s %8s %12s %12s %8s %8s\n", "path", "FPS", "sensitivity",
                 "precision", "IoU", "Score");
-    const char* names[] = {"fp32", "fp16", "int8"};
-    for (int i = 0; i < 3; ++i) {
+    const char* names[] = {"fp32", "int8"};
+    for (int i = 0; i < 2; ++i) {
         std::printf("%-8s %8.2f %11.1f%% %11.1f%% %8.3f %8.3f\n", names[i],
                     rows[i].fps, 100.0f * rows[i].sensitivity,
                     100.0f * rows[i].precision, rows[i].iou,

@@ -38,11 +38,6 @@ ctest --test-dir build -L int8 --output-on-failure 2>&1 | tee int8_output.txt
 ./build/tools/serve_bench --workers 2 --streams 4 --frames-per-stream 8 \
   --size 96 --batch 4 --batch-timeout-us 1000 --int8 --expect-complete 2>&1 \
   | tee int8_serve_bench_output.txt
-# The same drive at fp16: every replica takes its precision from
-# ServiceConfig::precision, so both non-fp32 formats are served end to end.
-./build/tools/serve_bench --workers 2 --streams 4 --frames-per-stream 8 \
-  --size 96 --batch 4 --batch-timeout-us 1000 --fp16 --expect-complete 2>&1 \
-  | tee fp16_serve_bench_output.txt
 
 # Repository benchmark harness (benchmark/README.md): a standalone build of
 # benchmark/ against this library, then its --smoke run, so a library change

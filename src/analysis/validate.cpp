@@ -422,6 +422,8 @@ class Validator {
     int net_h_ = 0;
 };
 
+}  // namespace
+
 std::string json_escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());
@@ -443,8 +445,6 @@ std::string json_escape(const std::string& s) {
     }
     return out;
 }
-
-}  // namespace
 
 std::string to_string(Severity s) {
     return s == Severity::kError ? "error" : "warning";

@@ -71,6 +71,10 @@ struct ValidationReport {
 bool check_weights_file(ValidationReport& report,
                         const std::filesystem::path& weights_path);
 
+/// `s` escaped for use inside a JSON string literal: quote, backslash and
+/// control characters become escape sequences.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
 /// Activation names the cfg dialect accepts; mirrored by nn/activation.cpp
 /// (a unit test keeps the two in sync).
 [[nodiscard]] const std::vector<std::string>& cfg_known_activations();

@@ -13,6 +13,8 @@
 #include <system_error>
 #include <utility>
 
+#include "analysis/validate.hpp"
+
 namespace dronet::cluster {
 
 namespace {
@@ -73,8 +75,8 @@ std::string RolloutReport::to_json() const {
     std::ostringstream os;
     os << "{\"ok\":" << (ok ? "true" : "false") << ",\"total\":" << total
        << ",\"reloaded\":" << reloaded << ",\"rolled_back\":" << rolled_back
-       << ",\"model_version\":" << model_version << ",\"error\":\"" << error
-       << "\"}";
+       << ",\"model_version\":" << model_version << ",\"error\":\""
+       << json_escape(error) << "\"}";
     return os.str();
 }
 

@@ -48,8 +48,8 @@ Network clone_network(const Network& src) {
     if (const RegionLayer* from_head = src.region()) {
         dst.region()->set_seen(from_head->seen());
     }
-    // After the weight copy, so the clone's halves or int8 weights encode the
-    // copied floats (an int8 source is already folded, and so is its clone).
+    // After the weight copy, so the clone's int8 weights encode the copied
+    // floats (an int8 source is already folded, and so is its clone).
     if (src.precision() != Precision::kF32) {
         dst.set_precision(src.precision(), src.calibration());
     }

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "nn/network.hpp"
-#include "simd/half.hpp"
 #include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_i8.hpp"
@@ -127,13 +126,12 @@ void ConvolutionalLayer::forward(const Tensor& input, Network& net, bool train) 
         throw std::invalid_argument("ConvolutionalLayer::forward: shape mismatch");
     }
     if (train && precision_ != Precision::kF32) {
-        throw std::logic_error("ConvolutionalLayer::forward: fp16 and int8 are inference-only");
+        throw std::logic_error("ConvolutionalLayer::forward: int8 is inference-only");
     }
     if (precision_ == Precision::kInt8) {
         forward_int8(input, net);
         return;
     }
-    const bool fp16 = precision_ == Precision::kF16;
     const int out_hw = static_cast<int>(output_shape_.hw());
     const int col_rows = geo_.col_rows();
     for (int b = 0; b < input.shape().n; ++b) {
@@ -145,21 +143,13 @@ void ConvolutionalLayer::forward(const Tensor& input, Network& net, bool train) 
             im2col_mt(in_b, geo_, ws, gemm_threads());
             col = ws;
         }
-        if (fp16) {
-            gemm_halfw(config_.filters, out_hw, col_rows, weights_h_.data(),
-                       col_rows, col, out_hw, out_b, out_hw);
-        } else {
-            gemm(false, false, config_.filters, out_hw, col_rows, 1.0f,
-                 weights_.v.data(), col_rows, col, out_hw, 0.0f, out_b, out_hw);
-        }
+        gemm(false, false, config_.filters, out_hw, col_rows, 1.0f, weights_.v.data(),
+             col_rows, col, out_hw, 0.0f, out_b, out_hw);
     }
     if (config_.batch_normalize) batchnorm_forward(train);
     add_channel_bias(output_.span(), biases_.v, output_shape_.n, output_shape_.c,
                      static_cast<int>(output_shape_.hw()));
     apply_activation(config_.activation, output_.span());
-    // Half activation storage: round the layer output through fp16 precision,
-    // exactly what writing halves and re-widening for the next layer costs.
-    if (fp16) simd::fp16_round_trip(output_.span());
 }
 
 // Per batch item: quantize the input once with the calibrated static scale,
@@ -290,20 +280,13 @@ void ConvolutionalLayer::fold_batchnorm() {
     rolling_mean_.clear();
     rolling_variance_.clear();
     x_norm_ = Tensor();
-    // Folding rewrote the float weights; refresh the half copies. (An int8
-    // layer folded when it was quantized, so it never gets here.)
-    if (precision_ == Precision::kF16) set_precision(Precision::kF16);
 }
 
 void ConvolutionalLayer::set_precision(Precision precision, float input_max_abs) {
     if (precision == Precision::kInt8) fold_batchnorm();
     precision_ = precision;
-    weights_h_.clear();
     int8_ = Int8Weights{};
-    if (precision == Precision::kF16) {
-        weights_h_.resize(weights_.size());
-        simd::floats_to_halfs(weights_.v.data(), weights_h_.data(), weights_.size());
-    } else if (precision == Precision::kInt8) {
+    if (precision == Precision::kInt8) {
         const int fan_in = input_shape_.c * config_.ksize * config_.ksize;
         const auto filters = static_cast<std::size_t>(config_.filters);
         int8_.input_scale = input_max_abs > 0.0f ? input_max_abs / 127.0f : 1.0f;
@@ -324,8 +307,6 @@ void ConvolutionalLayer::set_precision(Precision precision, float input_max_abs)
 std::size_t ConvolutionalLayer::weight_bytes() const noexcept {
     const std::size_t bias_bytes = biases_.size() * sizeof(float);
     switch (precision_) {
-        case Precision::kF16:
-            return weights_h_.size() * sizeof(std::uint16_t) + bias_bytes;
         case Precision::kInt8:
             return int8_.weights.size() +
                    (int8_.scales.size() + int8_.requant.size()) * sizeof(float) + bias_bytes;

@@ -4,9 +4,9 @@
 // dominant cost in every model the paper benchmarks. Training support
 // (backward + gradients) implements the full batch-norm backward pass.
 //
-// Inference runs in one of three weight formats (Precision): fp32, IEEE
-// binary16 storage, or calibrated int8 with int32 accumulation and a fused
-// per-filter requantize epilogue (docs/quantization.md).
+// Inference runs in one of two weight formats (Precision): fp32, or
+// calibrated int8 with int32 accumulation and a fused per-filter requantize
+// epilogue (docs/quantization.md).
 #pragma once
 
 #include <cstdint>
@@ -28,9 +28,9 @@ struct ConvConfig {
     Activation activation = Activation::kLeaky;
 };
 
-/// Arithmetic a conv layer runs its inference forward in. kF16 and kInt8 are
+/// Arithmetic a conv layer runs its inference forward in. kInt8 is
 /// inference-only: training through such a layer throws.
-enum class Precision { kF32, kF16, kInt8 };
+enum class Precision { kF32, kInt8 };
 
 /// A conv layer's int8 format: per-filter symmetric int8 weights and the
 /// static activation scale calibrated for the layer's input. Empty unless
@@ -79,19 +79,17 @@ class ConvolutionalLayer final : public Layer {
 
     /// Switches the inference weight format, encoding it from the CURRENT
     /// float weights (call after loading weights). The float weights stay.
-    ///  - kF16: weights become halves run through gemm_halfw, and the output
-    ///    is rounded through fp16 to model half activation storage
-    ///    (tolerances: docs/vectorization.md). fold_batchnorm re-encodes.
     ///  - kInt8: folds batch norm, quantizes each filter, and fixes the input
     ///    scale at `input_max_abs` / 127 (1 for an empty range).
-    ///  - kF32: drops either encoding.
+    ///  - kF32: drops the int8 encoding.
     void set_precision(Precision precision, float input_max_abs = 0.0f);
     [[nodiscard]] Precision precision() const noexcept { return precision_; }
     [[nodiscard]] const Int8Weights& int8() const noexcept { return int8_; }
 
     /// Bytes of weight storage in the active format: weights plus biases at
-    /// kF32 and kF16, int8 weights plus per-filter scale, requant and bias
-    /// floats at kInt8.
+    /// kF32, int8 weights plus per-filter scale, requant and bias floats at
+    /// kInt8. The float weights stay resident at both, so this is the size
+    /// of the format, not the layer's memory.
     [[nodiscard]] std::size_t weight_bytes() const noexcept;
 
   private:
@@ -107,8 +105,7 @@ class ConvolutionalLayer final : public Layer {
     Precision precision_ = Precision::kF32;
 
     Param weights_;
-    std::vector<std::uint16_t> weights_h_;  ///< kF16 weight storage
-    Int8Weights int8_;                      ///< kInt8 weight storage
+    Int8Weights int8_;  ///< kInt8 weight storage
     Param biases_;   ///< beta when batch-normalized, plain bias otherwise
     Param scales_;   ///< gamma (batch-norm only)
     std::vector<float> rolling_mean_;

@@ -6,9 +6,9 @@
 // parsed from darknet-format .cfg text (nn/cfg.hpp).
 //
 // One forward loop serves every precision: set_precision switches the conv
-// layers between fp32, fp16 and calibrated int8 (docs/quantization.md), and
-// the per-layer profiler, the numerics guards and the network.forward fault
-// site cover all three.
+// layers between fp32 and calibrated int8 (docs/quantization.md), and the
+// per-layer profiler, the numerics guards and the network.forward fault site
+// cover both.
 #pragma once
 
 #include <cstddef>
@@ -127,12 +127,11 @@ class Network {
     void fold_batchnorm();
 
     /// Switches every conv layer to `precision`, encoding it from the current
-    /// float weights (call after weights are loaded). kF16 and kInt8 are
-    /// inference-only; training such a network throws. kInt8 takes one
-    /// calibrated range per conv layer, throws std::invalid_argument unless
-    /// `calibration` covers exactly the network's conv layers, and folds
-    /// batch norm for good. Tolerances: docs/vectorization.md (fp16),
-    /// docs/quantization.md (int8).
+    /// float weights (call after weights are loaded). kInt8 is inference-only;
+    /// training such a network throws. kInt8 takes one calibrated range per
+    /// conv layer, throws std::invalid_argument unless `calibration` covers
+    /// exactly the network's conv layers, and folds batch norm for good.
+    /// Tolerances: docs/quantization.md.
     void set_precision(Precision precision, const Int8Calibration& calibration = {});
     [[nodiscard]] Precision precision() const noexcept { return precision_; }
     /// The ranges the last set_precision(kInt8) applied; empty otherwise.

@@ -486,9 +486,10 @@ bool DetectionService::breaker_allows() {
     if (!breaker_open_) return true;
     const double open_ms = ms_since(breaker_opened_at_);
     if (open_ms >= static_cast<double>(config_.breaker_open_ms)) {
-        // Half-open: close, let this frame through as the trial request.
+        // Half-open: admit frames as the trial. The failure count stays at
+        // the threshold, so the next frame failure re-opens the breaker at
+        // once and the next success, which zeroes the count, closes it.
         breaker_open_ = false;
-        breaker_failures_ = 0;
         stats_.record_breaker_open_ms(open_ms);
         return true;
     }

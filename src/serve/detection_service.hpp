@@ -319,6 +319,8 @@ class DetectionService {
     // Circuit breaker (mutable so stats() can fold the live open interval
     // into the snapshot).
     mutable sync::Mutex breaker_mu_{"DetectionService::breaker_mu"};
+    /// Consecutive frame failures. At or above the threshold while not open,
+    /// the breaker is half-open.
     int breaker_failures_ GUARDED_BY(breaker_mu_) = 0;
     bool breaker_open_ GUARDED_BY(breaker_mu_) = false;
     std::chrono::steady_clock::time_point breaker_opened_at_

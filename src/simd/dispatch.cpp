@@ -19,8 +19,7 @@ namespace {
 
 bool detect_cpu_avx2() noexcept {
 #if defined(DRONET_SIMD_HAS_AVX2) && (defined(__x86_64__) || defined(__i386__))
-    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
-           __builtin_cpu_supports("f16c");
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
     return false;
 #endif
@@ -52,7 +51,7 @@ SimdLevel startup_level() noexcept {
             if (detect_cpu_avx2()) return SimdLevel::kAvx2;
             std::fprintf(stderr,
                          "# DRONET_SIMD=avx2 requested but this CPU/build "
-                         "lacks AVX2+FMA+F16C; using scalar kernels\n");
+                         "lacks AVX2+FMA; using scalar kernels\n");
             return SimdLevel::kScalar;
         }
         std::fprintf(stderr,

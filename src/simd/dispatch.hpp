@@ -5,8 +5,8 @@
 //     DRONET_SIMD env set?  ── "scalar" ──────────────► kScalar
 //            │                  "avx2" ── CPU has it? ─► kAvx2
 //            │                              └─ no ─────► kScalar (+ stderr note)
-//            └─ unset ── CPUID: AVX2+FMA+F16C? ── yes ─► kAvx2
-//                                              └─ no ──► kScalar
+//            └─ unset ── CPUID: AVX2+FMA? ── yes ─► kAvx2
+//                                         └─ no ──► kScalar
 //
 // Every dispatched kernel (kernels.hpp) reads the level through one atomic
 // table pointer, so changing the level is race-free and costs one acquire
@@ -19,13 +19,12 @@ namespace dronet::simd {
 
 enum class SimdLevel {
     kScalar,  ///< portable reference kernels; bit-exact vs the naive paths
-    kAvx2,    ///< AVX2 + FMA (+ F16C for half conversions); tolerance-gated
+    kAvx2,    ///< AVX2 + FMA; tolerance-gated
 };
 
 [[nodiscard]] const char* to_string(SimdLevel level) noexcept;
 
-/// True when this binary carries AVX2 kernels AND the CPU reports
-/// AVX2 + FMA + F16C.
+/// True when this binary carries AVX2 kernels AND the CPU reports AVX2 + FMA.
 [[nodiscard]] bool cpu_supports_avx2() noexcept;
 
 /// The level dispatched kernels currently run at.

@@ -1,6 +1,6 @@
 // Dispatched kernel entry points backing the hot paths (tensor/gemm,
 // tensor/im2col, tensor/ops, nn/activation, nn/maxpool_layer, image/resize,
-// nn fp16 storage).
+// the int8 conv path).
 //
 // Callers fetch the active table once per call site via kernels() — one
 // atomic acquire load — and invoke plain function pointers. The scalar table
@@ -25,8 +25,6 @@
 //     clamp at both levels, with NaN defined as 0; requant_row is one
 //     int->float conversion, a multiply and then an add (never fused). Both
 //     are bitwise identical across levels (memcmp-gated in test_simd).
-//   * floats_to_halfs / halfs_to_floats agree bitwise across levels for all
-//     finite values and infinities (RTNE both ways); NaN payloads may differ.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +42,6 @@ struct KernelTable {
     /// dst[i] = a[i]*(1-w) + b[i]*w — the bilinear vertical pass.
     void (*lerp_rows)(const float* a, const float* b, float w, float* dst,
                       std::size_t n);
-    void (*floats_to_halfs)(const float* src, std::uint16_t* dst, std::size_t n);
-    void (*halfs_to_floats)(const std::uint16_t* src, float* dst, std::size_t n);
     /// C tile of `rows` (1-4) rows by 16 columns:
     /// c[r][j] = alpha*sum_k(ap[k*4+r]*b[k*b_stride+j]) + beta*c[r][j] for
     /// r < rows; rows beyond `rows` are neither read nor written. A is packed

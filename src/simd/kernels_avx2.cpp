@@ -1,14 +1,12 @@
-// AVX2/FMA/F16C instantiation of the kernel templates plus the hand-written
-// GEMM micro-kernel, int8, maxpool and half conversion kernels. This TU —
-// and only this TU — is compiled with -mavx2 -mfma -mf16c
-// (src/simd/CMakeLists.txt); nothing here may be called before dispatch has
-// confirmed the CPU capability.
+// AVX2/FMA instantiation of the kernel templates plus the hand-written
+// GEMM micro-kernel, int8 and maxpool kernels. This TU — and only this TU —
+// is compiled with -mavx2 -mfma (src/simd/CMakeLists.txt); nothing here may
+// be called before dispatch has confirmed the CPU capability.
 #include "simd/kernels.hpp"
 
 #include <cfloat>
 #include <immintrin.h>
 
-#include "simd/half.hpp"
 #include "simd/kernels_impl.hpp"
 #include "simd/vec_avx2.hpp"
 
@@ -213,27 +211,6 @@ void max_window_row_avx2(const float* base, std::int64_t row_stride, int rows,
     }
 }
 
-void floats_to_halfs_f16c(const float* src, std::uint16_t* dst, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_loadu_ps(src + i);
-        const __m128i h =
-            _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), h);
-    }
-    for (; i < n; ++i) dst[i] = float_to_half_rtne(src[i]);
-}
-
-void halfs_to_floats_f16c(const std::uint16_t* src, float* dst, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m128i h =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-        _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
-    }
-    for (; i < n; ++i) dst[i] = half_to_float(src[i]);
-}
-
 constexpr KernelTable kAvx2Table = {
     impl::copy_row<VecAvx2>,
     impl::add_bias_row<VecAvx2>,
@@ -242,8 +219,6 @@ constexpr KernelTable kAvx2Table = {
     impl::leaky_relu<VecAvx2>,
     impl::relu<VecAvx2>,
     impl::lerp_rows<VecAvx2>,
-    floats_to_halfs_f16c,
-    halfs_to_floats_f16c,
     gemm_micro_rx16_fma,
     gemm_i8_row_avx2,
     quantize_row_avx2,

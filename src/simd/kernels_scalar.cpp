@@ -7,20 +7,11 @@
 #include <cfloat>
 #include <cmath>
 
-#include "simd/half.hpp"
 #include "simd/kernels_impl.hpp"
 #include "simd/vec_base.hpp"
 
 namespace dronet::simd {
 namespace {
-
-void floats_to_halfs_scalar(const float* src, std::uint16_t* dst, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = float_to_half_rtne(src[i]);
-}
-
-void halfs_to_floats_scalar(const std::uint16_t* src, float* dst, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = half_to_float(src[i]);
-}
 
 void gemm_i8_row_scalar(const std::int8_t* a_row, const std::int8_t* b,
                         std::int64_t ldb, int k, int n, std::int32_t* c_row) {
@@ -79,8 +70,6 @@ constexpr KernelTable kScalarTable = {
     impl::leaky_relu<VecScalar>,
     impl::relu<VecScalar>,
     impl::lerp_rows<VecScalar>,
-    floats_to_halfs_scalar,
-    halfs_to_floats_scalar,
     nullptr,  // gemm_micro_rx16: scalar level keeps the reference loop
     gemm_i8_row_scalar,
     quantize_row_scalar,

@@ -264,54 +264,6 @@ void gemm_threaded(const GemmArgs& g, int threads) {
         [&g](int lo, int hi) { packed_rows(g, lo, hi); });
 }
 
-void gemm_halfw(int m, int n, int k, const std::uint16_t* a, int lda,
-                const float* b, int ldb, float* c, int ldc) {
-    if (m < 0 || n < 0 || k < 0) {
-        throw std::invalid_argument("gemm_halfw: negative dimension");
-    }
-    if ((m > 0 && k > 0 && a == nullptr) || (k > 0 && n > 0 && b == nullptr) ||
-        (m > 0 && n > 0 && c == nullptr)) {
-        throw std::invalid_argument("gemm_halfw: null matrix pointer");
-    }
-    if (m <= 0) return;
-    const auto worker = [&](int lo, int hi) {
-        // Widen this worker's A rows once into thread-local scratch, then run
-        // the ordinary packed kernel on them. Accumulation order is therefore
-        // identical to gemm() on a pre-rounded A — the fp16 path adds exactly
-        // one rounding step (the storage format), nothing else.
-        thread_local std::vector<float> a32;
-        const std::size_t rows = static_cast<std::size_t>(hi - lo);
-        const std::size_t need = rows * static_cast<std::size_t>(k);
-        if (a32.size() < need) a32.resize(need);
-        for (int i = lo; i < hi; ++i) {
-            simd::kernels().halfs_to_floats(
-                a + static_cast<std::int64_t>(i) * lda,
-                a32.data() + static_cast<std::size_t>(i - lo) * k,
-                static_cast<std::size_t>(k));
-        }
-        GemmArgs sub;
-        sub.m = hi - lo;
-        sub.n = n;
-        sub.k = k;
-        sub.alpha = 1.0f;
-        sub.a = a32.data();
-        sub.lda = k;
-        sub.b = b;
-        sub.ldb = ldb;
-        sub.beta = 0.0f;
-        sub.c = c + static_cast<std::int64_t>(lo) * ldc;
-        sub.ldc = ldc;
-        packed_rows(sub, 0, sub.m);
-    };
-    const int threads = g_gemm_threads.load(std::memory_order_relaxed);
-    const std::int64_t macs = static_cast<std::int64_t>(m) * n * k;
-    if (threads <= 1 || macs < kMinParallelMacs) {
-        worker(0, m);
-        return;
-    }
-    ThreadPool::instance().parallel_for(0, m, threads, kMr, worker);
-}
-
 void gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
           const float* a, int lda, const float* b, int ldb, float beta, float* c,
           int ldc) {

@@ -61,15 +61,6 @@ void gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
           const float* a, int lda, const float* b, int ldb, float beta, float* c,
           int ldc);
 
-/// GEMM with IEEE binary16 (half) A-matrix storage: C = A16 * B, alpha=1,
-/// beta=0, no transposes. Each worker widens its A rows to float once
-/// (simd::kernels().halfs_to_floats) and runs the packed kernel, so the
-/// result is bit-exact with gemm() called on the widened A. Used by the
-/// --fp16 inference mode for conv weights (docs/vectorization.md). Threaded
-/// via set_gemm_threads() like gemm().
-void gemm_halfw(int m, int n, int k, const std::uint16_t* a, int lda,
-                const float* b, int ldb, float* c, int ldc);
-
 /// Global thread count used by gemm(); defaults to 1. Values > 1 shard work
 /// on the persistent pool; see docs/performance.md for how this interacts
 /// with DetectionService workers.

@@ -237,6 +237,42 @@ TEST(Chaos, BreakerOpensShedsLoadAndRecoversHalfOpen) {
     service.stop();
 }
 
+TEST(Chaos, BreakerHalfOpenFailureReopensAtOnce) {
+    if (!fault::compiled_in()) GTEST_SKIP() << "DRONET_FAULTS is off";
+    Network net = build_model(ModelId::kDroNet, {.input_size = 96, .filter_scale = 0.35f});
+    serve::ServiceConfig sc;
+    sc.workers = 1;
+    sc.breaker_threshold = 2;
+    sc.breaker_open_ms = 50;
+    sc.pipeline = low_threshold_pipeline();
+    DetectionService service(net, sc);
+    const DetectionDataset frames =
+        generate_dataset(benchmark_scene_config(96), 2, /*seed=*/7);
+
+    fault::ScopedFaultPlan plan("network.forward:throw");
+    auto f0 = service.submit(frames.image(0));
+    auto f1 = service.submit(frames.image(1));
+    EXPECT_EQ(get_or_die(f0).status, ServeStatus::kFailed);
+    EXPECT_EQ(get_or_die(f1).status, ServeStatus::kFailed);
+
+    // The model still fails after the open window: the one trial frame
+    // re-opens the breaker, so the next submit is shed rather than forwarded.
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    auto trial = service.submit(frames.image(0));
+    EXPECT_EQ(get_or_die(trial).status, ServeStatus::kFailed);
+    auto shed = service.submit(frames.image(1));
+    const ServeResult r = get_or_die(shed);
+    EXPECT_EQ(r.status, ServeStatus::kRejected);
+    EXPECT_NE(r.error.find("breaker"), std::string::npos) << r.error;
+
+    const ServeStatsSnapshot snap = service.stats();
+    EXPECT_EQ(snap.breaker_opens, 2u);
+    EXPECT_EQ(snap.failed, 3u);
+    EXPECT_EQ(snap.rejected, 1u);
+    expect_accounting(snap);
+    service.stop();
+}
+
 TEST(Chaos, OverloadBurstDegradesToFallbackSizeAndRecovers) {
     if (!fault::compiled_in()) GTEST_SKIP() << "DRONET_FAULTS is off";
     Network net = build_model(ModelId::kDroNet, {.input_size = 128, .filter_scale = 0.35f});

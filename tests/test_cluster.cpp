@@ -860,6 +860,15 @@ TEST(Router, RollingReloadAbortsAndRollsBackCommittedWorkers) {
 
 // ---- spawned serve_worker processes -----------------------------------------
 
+TEST(Router, RolloutReportJsonEscapesError) {
+    // The error carries worker text and the caller's checkpoint path.
+    cluster::RolloutReport report;
+    report.error = "a\"b\\c\nd";
+    const std::string json = report.to_json();
+    EXPECT_NE(json.find(R"("error":"a\"b\\c\nd")"), std::string::npos) << json;
+    EXPECT_EQ(json.find('\n'), std::string::npos) << json;
+}
+
 TEST(Router, SpawnedWorkersEndToEnd) {
     const std::string worker_bin = DRONET_SERVE_WORKER_PATH;
     ASSERT_FALSE(worker_bin.empty());

@@ -236,9 +236,17 @@ TEST(Int8Precision, CalibrationLayerCountMismatchThrows) {
 TEST(Int8Precision, CalibrationNeedsAnFp32Network) {
     Network net = int8_dronet64();
     EXPECT_THROW((void)self_calibrate(net), std::logic_error);
-    net.set_precision(Precision::kF16);
     Tensor in(net.input_shape());
     EXPECT_THROW((void)calibrate(net, std::span(&in, 1)), std::logic_error);
+}
+
+TEST(Int8Precision, TrainingThrowsUntilFp32) {
+    Network net = int8_dronet64();
+    Tensor in(net.input_shape());
+    EXPECT_THROW(net.forward(in, /*train=*/true), std::logic_error);
+    // Switching back to fp32 restores trainability.
+    net.set_precision(Precision::kF32);
+    EXPECT_NO_THROW(net.forward(in, /*train=*/true));
 }
 
 TEST(Int8Precision, BatchedForwardBitEqualsBatchOnePerItem) {
@@ -706,15 +714,12 @@ TEST(QuantizedNetwork, BenchmarkHandleIsSetPrecision) {
 TEST(Int8Service, RejectsNonFp32Prototype) {
     // The prototype is the reload source and canary baseline: replicas take
     // their precision from ServiceConfig::precision instead.
-    Network fp16 = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
-    fp16.set_precision(Precision::kF16);
-    serve::ServiceConfig sc;
-    sc.precision = Precision::kInt8;
-    EXPECT_THROW((DetectionService{fp16, sc}), std::invalid_argument);
-    sc.precision = Precision::kF16;
-    EXPECT_THROW((DetectionService{fp16, sc}), std::invalid_argument);
     const Network int8 = int8_dronet64();
-    EXPECT_THROW((DetectionService{int8, sc}), std::invalid_argument);
+    serve::ServiceConfig sc;
+    for (const Precision precision : {Precision::kF32, Precision::kInt8}) {
+        sc.precision = precision;
+        EXPECT_THROW((DetectionService{int8, sc}), std::invalid_argument);
+    }
 }
 
 void expect_same_detections(const Detections& got, const Detections& want,

@@ -1,7 +1,7 @@
 // Model lifecycle tests (docs/robustness.md, "Model lifecycle"): hot
 // checkpoint reload under live load, the canary gate (truncated files, NaN
 // weights, divergence threshold), probation auto-rollback, explicit rollback,
-// and reloads through the fp16 and int8 serving modes. These carry the
+// and reloads through the int8 serving mode. These carry the
 // `reload` ctest label; scripts/run_all.sh re-runs it under TSan and ASan.
 #include <gtest/gtest.h>
 
@@ -299,7 +299,7 @@ TEST(Reload, ExplicitRollbackRestoresPreviousModelOnceOnly) {
     std::filesystem::remove(path);
 }
 
-// ---- reload composes with the fp16 / int8 serving modes ---------------------
+// ---- reload composes with the int8 serving mode -----------------------------
 
 TEST(Reload, Int8ServiceReloadRecalibratesAndMatchesColdStart) {
     Network net = small_net();
@@ -318,30 +318,6 @@ TEST(Reload, Int8ServiceReloadRecalibratesAndMatchesColdStart) {
     // Calibration re-ran against the new weights: outputs match an int8
     // service cold-started from the new checkpoint, bit for bit.
     Network cold = clone_network(net);
-    load_weights(cold, path);
-    DetectionService cold_service(cold, sc);
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        expect_same_detections(detect_one(service, frames.image(i)),
-                               detect_one(cold_service, frames.image(i)));
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(Reload, Fp16ServiceReloadReencodesAndMatchesColdStart) {
-    Network proto = small_net();
-    const auto path =
-        save_perturbed_checkpoint(proto, "dronet_reload_fp16.weights", 0xdd);
-    const DetectionDataset frames =
-        generate_dataset(benchmark_scene_config(96), 4, /*seed=*/0x5eed);
-
-    serve::ServiceConfig sc = small_config();
-    sc.precision = Precision::kF16;
-    DetectionService service(proto, sc);
-    const ReloadOutcome out = service.reload_checkpoint(path);
-    ASSERT_TRUE(out.ok) << out.error;
-    EXPECT_EQ(service.model_version(), 2u);
-
-    Network cold = clone_network(proto);
     load_weights(cold, path);
     DetectionService cold_service(cold, sc);
     for (std::size_t i = 0; i < frames.size(); ++i) {

@@ -12,12 +12,10 @@
 #include <cstring>
 #include <limits>
 #include <random>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "simd/dispatch.hpp"
-#include "simd/half.hpp"
 #include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_i8.hpp"
@@ -344,59 +342,6 @@ TEST(SimdGemm, Avx2WithinToleranceOfScalar) {
                 << ") at " << i;
         }
     }
-}
-
-// gemm_halfw is DEFINED as: widen the half A to float, then the ordinary
-// packed kernel. On the scalar level that makes it bit-exact against
-// gemm_naive run on the widened matrix.
-TEST(SimdGemm, HalfWeightGemmBitExactVsNaiveOnWidenedA) {
-    const simd::ScopedSimdLevel scalar(simd::SimdLevel::kScalar);
-    Rng rng(5150);
-    for (const auto [m, n, k] : {std::array<int, 3>{4, 16, 8},
-                                 std::array<int, 3>{7, 33, 19},
-                                 std::array<int, 3>{64, 128, 72},
-                                 std::array<int, 3>{1, 5, 300}}) {
-        const auto a32 = random_vec(rng, static_cast<std::size_t>(m) * k);
-        std::vector<std::uint16_t> a16(a32.size());
-        simd::floats_to_halfs(a32.data(), a16.data(), a32.size());
-        std::vector<float> a_widened(a32.size());
-        simd::halfs_to_floats(a16.data(), a_widened.data(), a16.size());
-        const auto b = random_vec(rng, static_cast<std::size_t>(k) * n);
-        std::vector<float> c_ref(static_cast<std::size_t>(m) * n, 0.0f);
-        std::vector<float> c_half(c_ref.size(), 0.0f);
-        gemm_naive({false, false, m, n, k, 1.0f, a_widened.data(), k, b.data(),
-                    n, 0.0f, c_ref.data(), n});
-        gemm_halfw(m, n, k, a16.data(), k, b.data(), n, c_half.data(), n);
-        ASSERT_TRUE(bitwise_equal(c_ref, c_half)) << m << "x" << n << "x" << k;
-    }
-}
-
-TEST(SimdGemm, HalfWeightGemmThreadedMatchesSerial) {
-    Rng rng(613);
-    const int m = 37, n = 65, k = 50;
-    const auto a32 = random_vec(rng, static_cast<std::size_t>(m) * k);
-    std::vector<std::uint16_t> a16(a32.size());
-    simd::floats_to_halfs(a32.data(), a16.data(), a32.size());
-    const auto b = random_vec(rng, static_cast<std::size_t>(k) * n);
-    std::vector<float> c_serial(static_cast<std::size_t>(m) * n, 0.0f);
-    std::vector<float> c_threaded(c_serial.size(), 0.0f);
-    const int prev = gemm_threads();
-    set_gemm_threads(1);
-    gemm_halfw(m, n, k, a16.data(), k, b.data(), n, c_serial.data(), n);
-    set_gemm_threads(4);
-    gemm_halfw(m, n, k, a16.data(), k, b.data(), n, c_threaded.data(), n);
-    set_gemm_threads(prev);
-    // Row sharding never splits a C element's accumulation: identical bits.
-    EXPECT_TRUE(bitwise_equal(c_serial, c_threaded));
-}
-
-TEST(SimdGemm, HalfWeightGemmValidatesArguments) {
-    std::vector<std::uint16_t> a(4, 0);
-    std::vector<float> buf(4, 0.0f);
-    EXPECT_THROW(gemm_halfw(-1, 2, 2, a.data(), 2, buf.data(), 2, buf.data(), 2),
-                 std::invalid_argument);
-    EXPECT_THROW(gemm_halfw(2, 2, 2, nullptr, 2, buf.data(), 2, buf.data(), 2),
-                 std::invalid_argument);
 }
 
 }  // namespace

@@ -4,16 +4,14 @@
 // Usage:
 //   detect [--model DroNet] [--size 512] [--weights FILE] [--cfg FILE]
 //          [--thresh 0.3] [--nms 0.45] [--letterbox] [--threads N]
-//          [--batch B] [--fp16] [--profile] image.ppm [more.ppm...]
+//          [--batch B] [--int8] [--profile] image.ppm [more.ppm...]
 //
 // --threads N enables intra-op GEMM parallelism (tensor/gemm.hpp) for the
 // forward pass; serving-mode (inter-frame) parallelism lives in tools/serve_bench.
 // --batch B > 1 runs the image list through detect_images in chunks of B
 // (one forward pass per chunk; per-image results are bit-identical to B=1).
-// --fp16 stores conv weights and activations as IEEE halves (inference only;
-// accuracy deltas in docs/vectorization.md).
 // --int8 serves through the calibrated quantized conv path: the loaded images
-// double as the calibration set (docs/quantization.md). Exclusive with --fp16.
+// double as the calibration set (docs/quantization.md).
 // --profile prints a per-layer timing table after all images (docs/performance.md).
 //
 // With --cfg the network is built from a darknet cfg file; otherwise the
@@ -49,7 +47,6 @@ constexpr const char* kUsage =
     "  --letterbox      aspect-preserving letterbox resize\n"
     "  --threads N      intra-op GEMM threads\n"
     "  --batch B        images per forward pass\n"
-    "  --fp16           fp16 weight/activation storage (inference only)\n"
     "  --int8           calibrated int8 conv path (calibrates on the input images)\n"
     "  --profile        per-layer timing table after all images\n"
     "  --help           print this help\n";
@@ -60,7 +57,6 @@ int run(int argc, char** argv) {
     std::string weights_path, cfg_path;
     int size = 512;
     int batch = 1;
-    bool fp16 = false;
     bool int8 = false;
     EvalConfig post;
     std::vector<std::string> images;
@@ -79,7 +75,6 @@ int run(int argc, char** argv) {
         else if (a == "--letterbox") post.use_letterbox = true;
         else if (a == "--threads") set_gemm_threads(std::stoi(next()));
         else if (a == "--batch") batch = std::max(1, std::stoi(next()));
-        else if (a == "--fp16") fp16 = true;
         else if (a == "--int8") int8 = true;
         else if (a == "--profile") profile::set_profiling(true);
         else if (a == "--help") { std::printf("%s", kUsage); return 0; }
@@ -89,9 +84,6 @@ int run(int argc, char** argv) {
     if (images.empty()) {
         std::fprintf(stderr, "%s", kUsage);
         return 2;
-    }
-    if (fp16 && int8) {
-        throw std::runtime_error("--fp16 and --int8 are mutually exclusive");
     }
 
     Network net = [&]() -> Network {
@@ -108,7 +100,6 @@ int run(int argc, char** argv) {
     }();
     if (!weights_path.empty()) load_weights(net, weights_path);
     net.set_batch(1);
-    if (fp16) net.set_precision(Precision::kF16);  // after weights: encodes halves
     if (net.config().width != size && size > 0) {
         // Honor --size when it divides the model stride.
         try {

@@ -8,14 +8,13 @@
 //
 // Usage:
 //   profile models/DroNet.cfg [--json] [--runs N] [--warmup N]
-//           [--threads N] [--size S] [--weights FILE] [--fp16]
+//           [--threads N] [--size S] [--weights FILE]
 //   profile --model DroNet --size 512 ...
 //
 // --threads N sets intra-op GEMM/im2col parallelism (persistent pool).
 // With --model, a <name>.meta beside --weights sets the filter_scale and
 // classes the checkpoint was trained with.
 // --size resizes the fully-convolutional network before profiling.
-// --fp16 profiles the half-storage inference mode (docs/vectorization.md).
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -41,7 +40,6 @@ constexpr const char* kUsage =
     "  --warmup N      untimed warm-up passes (default 2)\n"
     "  --size S        square input resolution\n"
     "  --threads N     intra-op GEMM/im2col threads\n"
-    "  --fp16          fp16 weight/activation storage (inference only)\n"
     "  --json          machine-readable report\n"
     "  --help          print this help\n";
 
@@ -54,7 +52,6 @@ int main(int argc, char** argv) {
     int warmup = 2;
     int size = 0;
     bool json = false;
-    bool fp16 = false;
     try {
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
@@ -69,7 +66,6 @@ int main(int argc, char** argv) {
             else if (a == "--size") size = std::stoi(next());
             else if (a == "--threads") set_gemm_threads(std::stoi(next()));
             else if (a == "--json") json = true;
-            else if (a == "--fp16") fp16 = true;
             else if (a == "--help") { std::printf("%s", kUsage); return 0; }
             else if (a.rfind("--", 0) == 0) throw std::runtime_error("unknown flag " + a);
             else cfg_path = a;
@@ -97,7 +93,6 @@ int main(int argc, char** argv) {
         if (!weights_path.empty()) load_weights(net, weights_path);
         net.set_batch(1);
         if (size > 0 && net.config().width != size) net.resize_input(size, size);
-        if (fp16) net.set_precision(Precision::kF16);  // after weights: encodes halves
 
         Tensor input(net.input_shape());
         Rng rng(0xD20);

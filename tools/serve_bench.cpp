@@ -9,7 +9,7 @@
 //   serve_bench [--workers N] [--streams M] [--frames-per-stream K]
 //               [--size S] [--capacity Q] [--policy block|reject|drop-oldest]
 //               [--model DroNet] [--gemm-threads N] [--interval-ms T]
-//               [--batch B] [--batch-timeout-us U] [--fp16] [--int8] [--profile]
+//               [--batch B] [--batch-timeout-us U] [--int8] [--profile]
 //               [--expect-complete] [--deadline-ms D] [--retries R]
 //               [--degraded-size S] [--degrade-high N] [--degrade-low N]
 //               [--inject PLAN]
@@ -91,7 +91,6 @@ constexpr const char* kUsage =
     "  --interval-ms T       per-stream submit pacing (0 = flat out)\n"
     "  --batch B             worker micro-batch size\n"
     "  --batch-timeout-us U  micro-batch linger window\n"
-    "  --fp16                fp16 weight/activation storage (inference only)\n"
     "  --int8                calibrated int8 conv path per replica\n"
     "  --profile             per-layer timing JSON per worker replica\n"
     "  --expect-complete     exit non-zero unless every frame completed\n"
@@ -125,7 +124,6 @@ struct Args {
     double interval_ms = 0;
     int batch = 1;
     std::int64_t batch_timeout_us = 0;
-    bool fp16 = false;
     bool int8 = false;
     bool profile = false;
     bool expect_complete = false;
@@ -165,7 +163,6 @@ Args parse_args(int argc, char** argv) {
         else if (a == "--interval-ms") args.interval_ms = std::stod(next());
         else if (a == "--batch") args.batch = std::stoi(next());
         else if (a == "--batch-timeout-us") args.batch_timeout_us = std::stoll(next());
-        else if (a == "--fp16") args.fp16 = true;
         else if (a == "--int8") args.int8 = true;
         else if (a == "--profile") args.profile = true;
         else if (a == "--expect-complete") args.expect_complete = true;
@@ -226,7 +223,6 @@ int run_cluster(const Args& args) {
                       "--deadline-ms", std::to_string(args.deadline_ms),
                       "--retries", std::to_string(args.retries),
                       "--gemm-threads", std::to_string(args.gemm_threads)};
-    if (args.fp16) rc.worker_argv.push_back("--fp16");
     if (args.int8) rc.worker_argv.push_back("--int8");
     rc.workers = args.cluster;
     rc.worker_inflight_limit = args.inflight_limit;
@@ -379,9 +375,6 @@ int run(int argc, char** argv) {
     }();
     net.set_batch(1);
     if (net.config().width != args.size) net.resize_input(args.size, args.size);
-    if (args.fp16 && args.int8) {
-        throw std::runtime_error("--fp16 and --int8 are mutually exclusive");
-    }
 
     // One shared frame pool; each stream replays it from a different offset
     // so streams are out of phase like real cameras.
@@ -395,9 +388,7 @@ int run(int argc, char** argv) {
     sc.policy = args.policy;
     sc.max_batch = args.batch;
     sc.batch_timeout_us = args.batch_timeout_us;
-    sc.precision = args.int8   ? Precision::kInt8
-                   : args.fp16 ? Precision::kF16
-                               : Precision::kF32;
+    sc.precision = args.int8 ? Precision::kInt8 : Precision::kF32;
     sc.deadline_ms = args.deadline_ms;
     sc.max_retries = args.retries;
     if (args.degrade_high > 0) {

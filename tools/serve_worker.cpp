@@ -9,7 +9,7 @@
 //   serve_worker --fd N [--workers N] [--size S] [--model DroNet]
 //                [--filter-scale F] [--capacity Q] [--batch B]
 //                [--batch-timeout-us U] [--deadline-ms D] [--retries R]
-//                [--gemm-threads N] [--fp16] [--int8]
+//                [--gemm-threads N] [--int8]
 //                [--score-threshold T]
 //
 // Model weights come from the pretrained checkpoint when present, otherwise
@@ -51,7 +51,6 @@ struct Args {
     std::int64_t deadline_ms = 0;
     int retries = 0;
     int gemm_threads = 1;
-    bool fp16 = false;
     bool int8 = false;
     float score_threshold = -1.0f;  ///< < 0: keep the pipeline default
 };
@@ -85,7 +84,6 @@ Args parse_args(int argc, char** argv) {
         else if (a == "--deadline-ms") args.deadline_ms = std::stoll(next());
         else if (a == "--retries") args.retries = std::stoi(next());
         else if (a == "--gemm-threads") args.gemm_threads = std::stoi(next());
-        else if (a == "--fp16") args.fp16 = true;
         else if (a == "--int8") args.int8 = true;
         else if (a == "--score-threshold") args.score_threshold = std::stof(next());
         else throw std::runtime_error("unknown flag " + a);
@@ -109,9 +107,6 @@ int run(int argc, char** argv) {
     }();
     net.set_batch(1);
     if (net.config().width != args.size) net.resize_input(args.size, args.size);
-    if (args.fp16 && args.int8) {
-        throw std::runtime_error("--fp16 and --int8 are mutually exclusive");
-    }
 
     serve::ServiceConfig sc;
     sc.workers = args.workers;
@@ -119,9 +114,7 @@ int run(int argc, char** argv) {
     sc.policy = serve::BackpressurePolicy::kBlock;
     sc.max_batch = args.batch;
     sc.batch_timeout_us = args.batch_timeout_us;
-    sc.precision = args.int8   ? Precision::kInt8
-                   : args.fp16 ? Precision::kF16
-                               : Precision::kF32;
+    sc.precision = args.int8 ? Precision::kInt8 : Precision::kF32;
     sc.deadline_ms = args.deadline_ms;
     sc.max_retries = args.retries;
     if (args.score_threshold >= 0.0f) {
