@@ -163,20 +163,23 @@ ctest --test-dir build-asan -L reload --output-on-failure 2>&1 \
   --expect-complete 2>&1 | tee asan_reload_bench_output.txt
 
 # Router + worker fleet end to end through serve_bench's cluster mode: two
-# spawned worker processes, --expect-complete exits non-zero if any frame
-# resolved as anything but kOk. Then the loadgen smoke: a scaling sweep with
-# admission knobs engaged that exits non-zero on any abandoned future,
-# accounting violation, or incomplete run.
+# spawned worker processes, then one. Every cluster run exits non-zero on an
+# unresolved future or an accounting violation, and --expect-complete also
+# fails any frame resolved as anything but kOk.
 ./build/tools/serve_bench --cluster 2 --workers 1 --streams 4 \
   --frames-per-stream 8 --size 96 --filter-scale 0.5 --expect-complete 2>&1 \
   | tee cluster_bench_output.txt
-./build/tools/loadgen --workers-list 1,2 --clients 4 --requests 6 --size 96 \
-  --filter-scale 0.5 --expect-complete 2>&1 | tee loadgen_output.txt
-# Worker-kill chaos through loadgen: SIGKILL a worker mid-load; every future
-# must still resolve (retried or shed, never hung) with the accounting
-# identity intact — loadgen exits 2 otherwise.
-./build/tools/loadgen --workers-list 2 --clients 4 --requests 8 --size 96 \
-  --filter-scale 0.5 --kill-after-ms 100 2>&1 | tee loadgen_chaos_output.txt
+./build/tools/serve_bench --cluster 1 --workers 1 --streams 4 \
+  --frames-per-stream 6 --size 96 --filter-scale 0.5 --expect-complete 2>&1 \
+  | tee cluster1_bench_output.txt
+# Worker-kill chaos: SIGKILL worker 0 while paced streams are still
+# submitting; every future must still resolve (retried or shed, never hung)
+# with the accounting identity intact, and the fleet stats must record the
+# death — serve_bench exits non-zero otherwise, so a load that finishes
+# before the kill fails the stage instead of passing it vacuously.
+./build/tools/serve_bench --cluster 2 --workers 1 --streams 4 \
+  --frames-per-stream 16 --size 96 --filter-scale 0.5 --interval-ms 10 \
+  --kill-after-ms 60 2>&1 | tee cluster_kill_output.txt
 
 # Model-lifecycle chaos smoke: a corrupt (truncated) candidate checkpoint
 # must be rejected — canary gate, old model byte-identical, zero dropped
@@ -187,12 +190,13 @@ head -c 4096 weights/DroNet.weights > build/corrupt_candidate.weights
   --size 96 --reload build/corrupt_candidate.weights --reload-after-ms 30 \
   --reload-expect-reject --expect-complete 2>&1 \
   | tee reload_reject_output.txt
-# Rolling fleet reload through loadgen: two spawned pretrained workers,
-# hot-swapped one at a time mid-load — the rollout must commit fleet-wide
-# with every future resolving (exit 2 otherwise)...
-./build/tools/loadgen --workers-list 2 --clients 4 --requests 8 --size 96 \
+# Rolling fleet reload: two spawned pretrained workers, hot-swapped one at a
+# time while paced streams keep submitting — the rollout must commit
+# fleet-wide with every frame resolving kOk (exit 1 otherwise)...
+./build/tools/serve_bench --cluster 2 --workers 1 --streams 4 \
+  --frames-per-stream 16 --size 96 --interval-ms 10 \
   --reload weights/DroNet.weights --reload-after-ms 50 --expect-complete 2>&1 \
-  | tee loadgen_reload_output.txt
+  | tee cluster_reload_output.txt
 # ...and with a worker SIGKILLed mid-rollout the rollout must abort, roll
 # already-reloaded workers back to the old version, and still resolve every
 # future (serve_bench exits non-zero if the aborted rollout reports success

@@ -283,16 +283,6 @@ Router::Worker* Router::pick_worker_locked(bool ignore_inflight_limit) {
         if (ignore_inflight_limit || config_.worker_inflight_limit == 0) return true;
         return w.inflight < config_.worker_inflight_limit;
     };
-    if (config_.dispatch == DispatchPolicy::kRoundRobin) {
-        for (std::size_t n = 0; n < workers_.size(); ++n) {
-            const std::size_t i = (rr_next_ + n) % workers_.size();
-            if (eligible(*workers_[i])) {
-                rr_next_ = (i + 1) % workers_.size();
-                return workers_[i].get();
-            }
-        }
-        return nullptr;
-    }
     Worker* best = nullptr;
     for (auto& w : workers_) {
         if (!eligible(*w)) continue;
@@ -608,10 +598,12 @@ void Router::health_loop() {
                         break;
                     case WorkerState::kHalfOpen:
                         if (overdue) {
-                            // Failed probe: breaker snaps back open.
+                            // Failed probe: breaker snaps back open, which
+                            // counts as an eject like the first opening.
                             w.state = WorkerState::kEjected;
                             w.ejected_at = now;
                             w.ping_outstanding = false;
+                            ++counters_.worker_ejects;
                         } else if (!w.ping_outstanding) {
                             action = Action::kPing;
                         }

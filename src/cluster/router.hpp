@@ -6,8 +6,8 @@
 //  * spawns workers (fork/exec of tools/serve_worker over a socketpair) and
 //    adopts pre-connected ones (already-running workers handed in as fds);
 //  * dispatches detect requests least-loaded (router-side in-flight count,
-//    worker queue-depth gauge as tiebreak) or round-robin, pipelining up to
-//    `worker_inflight_limit` frames per worker;
+//    worker queue-depth gauge as tiebreak, lowest slot on a full tie),
+//    pipelining up to `worker_inflight_limit` frames per worker;
 //  * enforces per-client admission control: an in-flight cap and a
 //    token-bucket quota, shedding violators immediately as kRejected;
 //  * health-checks workers with ping frames and folds the results into the
@@ -46,19 +46,6 @@
 
 namespace dronet::cluster {
 
-enum class DispatchPolicy {
-    kLeastLoaded,  ///< fewest router-tracked in-flight frames; gauge tiebreak
-    kRoundRobin,   ///< strict rotation over healthy workers
-};
-
-[[nodiscard]] constexpr const char* to_string(DispatchPolicy p) noexcept {
-    switch (p) {
-        case DispatchPolicy::kLeastLoaded: return "least-loaded";
-        case DispatchPolicy::kRoundRobin: return "round-robin";
-    }
-    return "?";
-}
-
 enum class WorkerState {
     kUp,        ///< healthy, eligible for dispatch
     kEjected,   ///< breaker open: too many consecutive health failures
@@ -89,7 +76,6 @@ struct RouterConfig {
     /// ones but are never respawned — the router did not start them.
     std::vector<int> adopt_fds;
 
-    DispatchPolicy dispatch = DispatchPolicy::kLeastLoaded;
     /// Max frames the router keeps in flight per worker; further submits
     /// block until a slot frees (admission control sheds before this point
     /// for well-configured clients). 0 = unlimited.
@@ -295,7 +281,6 @@ class Router {
     bool stopping_ GUARDED_BY(mu_) = false;
     std::uint64_t next_request_id_ GUARDED_BY(mu_) = 1;
     int next_frame_index_ GUARDED_BY(mu_) = 0;
-    std::size_t rr_next_ GUARDED_BY(mu_) = 0;
     std::uint64_t total_pending_ GUARDED_BY(mu_) = 0;
     std::map<std::uint64_t, ClientState> clients_ GUARDED_BY(mu_);
 

@@ -1,6 +1,7 @@
 #include "cluster/worker.hpp"
 
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -85,11 +86,29 @@ void WorkerServer::start_reload(std::uint64_t request_id, bool rollback,
 void WorkerServer::resolver_loop() {
     while (auto pending = pending_.pop()) {
         // The service contract: every submitted future resolves (success,
-        // timeout, failure, or shutdown sweep) — this get() never hangs.
-        serve::ServeResult r = pending->result.get();
-        if (peer_gone_.load(std::memory_order_acquire)) continue;
+        // timeout, failure, or shutdown sweep) — this wait never hangs.
+        if (peer_gone_.load(std::memory_order_acquire)) {
+            pending->result.wait();
+            continue;
+        }
+        serve::ServeResult r;
+        std::optional<std::string> error;
         try {
-            respond(pending->request_id, r);
+            r = pending->result.get();
+        } catch (const std::exception& e) {
+            // A frame the service cannot preprocess (an unsupported channel
+            // count) resolves as an exception. It is answered kError: thrown
+            // out of this thread it would abort the whole worker process.
+            error = e.what();
+        }
+        try {
+            if (error) {
+                sync::MutexLock lock(write_mu_);
+                write_frame(fd_, Opcode::kError, pending->request_id,
+                            encode_error(*error));
+            } else {
+                respond(pending->request_id, r);
+            }
         } catch (const std::exception&) {
             // Peer vanished mid-stream; keep draining futures so the service
             // can quiesce, but stop writing.

@@ -320,6 +320,47 @@ TEST(WorkerServer, MalformedDetectRequestGetsErrorReply) {
     EXPECT_TRUE(got_error);
 }
 
+TEST(WorkerServer, UnsupportedChannelCountGetsErrorReply) {
+    // The wire decodes any channel count; the service resolves a frame it
+    // cannot preprocess with an exception. The worker must answer it kError
+    // and keep serving, not let the exception abort the process.
+    Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
+    serve::ServiceConfig sc;
+    sc.workers = 1;
+    serve::DetectionService service(net, sc);
+
+    SocketPair sp;
+    std::thread worker([&, fd = sp.b.get()] {
+        cluster::WorkerServer server(service, fd);
+        (void)server.run();
+        sp.b.reset();
+    });
+    cluster::write_frame(sp.a.get(), Opcode::kDetectRequest, 11,
+                         cluster::encode_detect_request(patterned_image(8, 8, 2, 1.0f)));
+    cluster::write_frame(sp.a.get(), Opcode::kDetectRequest, 12,
+                         cluster::encode_detect_request(patterned_image(8, 8, 3, 1.0f)));
+    cluster::write_frame(sp.a.get(), Opcode::kShutdown, 0, nullptr, 0);
+    std::map<std::uint64_t, Opcode> replies;
+    std::string error;
+    bool got_ack = false;
+    Frame f;
+    while (cluster::read_frame(sp.a.get(), f)) {
+        const auto op = static_cast<Opcode>(f.header.opcode);
+        if (op == Opcode::kShutdownAck) {
+            got_ack = true;
+            continue;
+        }
+        replies[f.header.request_id] = op;
+        if (op == Opcode::kError) error = cluster::decode_error(f.payload);
+    }
+    worker.join();
+    service.stop();
+    EXPECT_EQ(replies[11], Opcode::kError);
+    EXPECT_NE(error.find("channels"), std::string::npos) << error;
+    EXPECT_EQ(replies[12], Opcode::kDetectResponse);
+    EXPECT_TRUE(got_ack);
+}
+
 TEST(WorkerServer, ReloadSwapsRollsBackAndRejectsBadCandidates) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
     const auto path =
@@ -628,7 +669,9 @@ TEST(Router, TokenBucketQuotaShedsAsRejected) {
     router.stop();
 }
 
-TEST(Router, RoundRobinAlternatesAcrossWorkers) {
+// Least-loaded dispatch: equal in-flight counts (and the fakes' zero queue
+// gauges) tie to the lowest slot, so a burst alternates across the workers.
+TEST(Router, LeastLoadedSpreadsEqualLoadAcrossWorkers) {
     SocketPair spa;
     SocketPair spb;
     const int fd_a = spa.a.release();
@@ -636,7 +679,6 @@ TEST(Router, RoundRobinAlternatesAcrossWorkers) {
     FakeWorker fake_a(std::move(spa.b));
     FakeWorker fake_b(std::move(spb.b));
     cluster::RouterConfig rc = adopt_config({fd_a, fd_b});
-    rc.dispatch = cluster::DispatchPolicy::kRoundRobin;
     rc.worker_inflight_limit = 0;
     cluster::Router router(rc);
 
@@ -661,7 +703,6 @@ TEST(Router, LostWorkerRetriesInflightFramesOnHealthyOne) {
     FakeWorker fake_a(std::move(spa.b));
     FakeWorker fake_b(std::move(spb.b));
     cluster::RouterConfig rc = adopt_config({fd_a, fd_b});
-    rc.dispatch = cluster::DispatchPolicy::kRoundRobin;
     rc.worker_inflight_limit = 0;
     rc.max_retries = 1;
     cluster::Router router(rc);
@@ -737,6 +778,36 @@ TEST(Router, EjectsUnresponsiveWorkerThenReadmitsViaHalfOpen) {
     router.stop();
 }
 
+TEST(Router, FailedHalfOpenProbeCountsAsEject) {
+    SocketPair sp;
+    const int adopt_fd = sp.a.release();
+    FakeWorker fake(std::move(sp.b));
+    cluster::RouterConfig rc = adopt_config({adopt_fd});
+    rc.health_interval_ms = 10;
+    rc.health_timeout_ms = 30;
+    rc.eject_threshold = 2;
+    rc.readmit_ms = 50;
+    cluster::Router router(rc);
+
+    fake.set_answer_pings(false);  // every probe, the half-open one included, fails
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    const auto wait_for_state = [&](cluster::WorkerState s) {
+        while (router.worker_state(0) != s &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return router.worker_state(0) == s;
+    };
+    ASSERT_TRUE(wait_for_state(cluster::WorkerState::kEjected));
+    ASSERT_TRUE(wait_for_state(cluster::WorkerState::kHalfOpen));
+    ASSERT_TRUE(wait_for_state(cluster::WorkerState::kEjected));
+    // The breaker opened twice: once from kUp, once when the probe failed.
+    const cluster::FleetStats fs = router.fleet_stats(/*timeout_ms=*/100);
+    EXPECT_GE(fs.worker_ejects, 2u) << fs.to_json();
+    EXPECT_EQ(fs.worker_readmits, 0u) << fs.to_json();
+    router.stop();
+}
+
 TEST(Router, StopResolvesHeldFramesAsShutdown) {
     SocketPair sp;
     const int adopt_fd = sp.a.release();
@@ -766,7 +837,6 @@ TEST(Router, RollingReloadDrainsThenSwapsEveryWorker) {
     FakeWorker fake_a(std::move(spa.b));
     FakeWorker fake_b(std::move(spb.b));
     cluster::RouterConfig rc = adopt_config({fd_a, fd_b});
-    rc.dispatch = cluster::DispatchPolicy::kRoundRobin;
     rc.worker_inflight_limit = 0;
     cluster::Router router(rc);
 
@@ -895,6 +965,19 @@ TEST(Router, SpawnedWorkersEndToEnd) {
     EXPECT_EQ(fs.ok, 8u);
     EXPECT_EQ(fs.workers.size(), 2u);
     EXPECT_EQ(fs.agg_completed, 8u);
+    EXPECT_EQ(router.alive_workers(), 2);
+
+    // A frame the workers cannot preprocess fails alone: no worker dies, so
+    // nothing is retried, and the next frame is served.
+    const ServeResult bad = router.submit(1, patterned_image(8, 8, 2, 1.0f)).get();
+    EXPECT_EQ(bad.status, ServeStatus::kFailed);
+    EXPECT_NE(bad.error.find("channels"), std::string::npos) << bad.error;
+    EXPECT_EQ(router.submit(1, frames.image(0)).get().status, ServeStatus::kOk);
+    const cluster::FleetStats after = router.fleet_stats();
+    EXPECT_TRUE(after.accounting_ok()) << after.to_json();
+    EXPECT_EQ(after.failed, 1u);
+    EXPECT_EQ(after.worker_deaths, 0u);
+    EXPECT_EQ(after.retried, 0u);
     EXPECT_EQ(router.alive_workers(), 2);
     router.stop();
     router.stop();  // idempotent

@@ -2,8 +2,8 @@
 //
 // Simulates M concurrent video streams replaying frames from the canonical
 // synthetic dataset into one DetectionService, then prints the ServeStats
-// snapshot as one-line JSON. This is the operational counterpart of
-// bench/bench_serve_throughput (which sweeps worker counts).
+// snapshot as one-line JSON. It is the one load generator for both serving
+// tiers: a scaling curve is one run per --workers (or --cluster) value.
 //
 // Usage:
 //   serve_bench [--workers N] [--streams M] [--frames-per-stream K]
@@ -42,7 +42,9 @@
 // invariant plus, without chaos, that every frame resolved kOk.
 // --kill-after-ms T SIGKILLs worker 0 mid-run; the run still must resolve
 // every future (ok, retried onto a healthy worker, kRejected by admission, or
-// kShutdown) — a hung or abandoned future is a non-zero exit.
+// kShutdown) — a hung or abandoned future is a non-zero exit. So is a run
+// whose fleet stats record no worker death: a load that ends before T ms
+// tests nothing, so pace it with --interval-ms to span the kill.
 //
 // Model lifecycle (docs/robustness.md): --reload PATH hot-swaps the service
 // (or, with --cluster, rolls the fleet) onto checkpoint PATH after
@@ -314,6 +316,13 @@ int run_cluster(const Args& args) {
     }
     if (!fs.accounting_ok()) {
         std::fprintf(stderr, "# FAIL: fleet accounting invariant violated\n");
+        return 1;
+    }
+    if (args.kill_after_ms > 0 && fs.worker_deaths == 0) {
+        std::fprintf(stderr,
+                     "# FAIL: no worker death recorded for the kill at %lld "
+                     "ms; pace the load (--interval-ms) so it spans the kill\n",
+                     static_cast<long long>(args.kill_after_ms));
         return 1;
     }
     if (!args.reload_path.empty()) {
