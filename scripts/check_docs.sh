@@ -2,7 +2,9 @@
 # Documentation link checker. Fails (exit 1) when:
 #   * a relative markdown link in README.md or docs/*.md points at a path
 #     that does not exist (resolved against the linking file's directory), or
-#   * a docs/*.md file is not linked from the docs/README.md index.
+#   * a docs/*.md file is not linked from the docs/README.md index, or
+#   * a docs/api_overview.md table row names a symbol that none of the
+#     headers in its second column contains.
 # External links (http/https/mailto) and pure #anchors are not checked.
 # Run from anywhere: scripts/check_docs.sh
 set -euo pipefail
@@ -63,8 +65,29 @@ while IFS= read -r flag; do
   fi
 done <<< "$flags"
 
+# Every symbol in a docs/api_overview.md table row must exist: each
+# backticked name in the first column (its last `::` part, with `a/b` lists
+# split) must appear as a word in a header named in the second column.
+while IFS= read -r row; do
+  headers="$(cut -d'|' -f3 <<< "$row" | grep -oE '`[^`]+\.hpp`' | tr -d '`')" || true
+  [[ -z "$headers" ]] && continue
+  names="$(cut -d'|' -f2 <<< "$row" | grep -oE '`[^`]+`' | tr -d '`' \
+            | sed -E 's/.*:://' | tr '/' '\n')" || true
+  while IFS= read -r name; do
+    [[ -z "$name" ]] && continue
+    found=0
+    while IFS= read -r header; do
+      if grep -qwF -- "$name" "src/$header" 2>/dev/null; then found=1; break; fi
+    done <<< "$headers"
+    if [[ "$found" -eq 0 ]]; then
+      echo "STALE API ROW: docs/api_overview.md names $name, not in" $headers
+      fail=1
+    fi
+  done <<< "$names"
+done < <(grep -E '^\| `' docs/api_overview.md)
+
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: all links resolve, all docs indexed"
+echo "check_docs: all links resolve, all docs indexed, all API rows found"

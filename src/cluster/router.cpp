@@ -92,19 +92,24 @@ Router::Router(RouterConfig config) : config_(std::move(config)) {
     if (total == 0) {
         throw std::invalid_argument("Router: no workers to spawn or adopt");
     }
+    if (config_.health_interval_ms <= 0) {
+        throw std::invalid_argument("Router: health_interval_ms must be positive");
+    }
+    if (config_.eject_threshold < 1) {
+        throw std::invalid_argument("Router: eject_threshold must be at least 1");
+    }
     io::ignore_sigpipe();
 
     // Adopted fds are wrapped first so every handed-in descriptor is owned
     // (and closed on any failure path) before fork can throw.
+    const serve::Breaker breaker(config_.eject_threshold,
+                                 std::chrono::milliseconds(config_.readmit_ms));
     workers_.reserve(total);
     for (int i = 0; i < config_.workers; ++i) {
-        auto w = std::make_unique<Worker>();
-        w->slot = workers_.size();
-        workers_.push_back(std::move(w));
+        workers_.push_back(std::make_unique<Worker>(workers_.size(), breaker));
     }
     for (int fd : config_.adopt_fds) {
-        auto w = std::make_unique<Worker>();
-        w->slot = workers_.size();
+        auto w = std::make_unique<Worker>(workers_.size(), breaker);
         w->fd.reset(fd);
         workers_.push_back(std::move(w));
     }
@@ -374,7 +379,7 @@ void Router::handle_detect_response(Worker& w, const Frame& frame) {
     {
         sync::MutexLock lock(mu_);
         // Any answered frame proves liveness as well as a pong does.
-        w.consecutive_failures = 0;
+        if (w.state == WorkerState::kUp) w.breaker.succeed();
         auto it = w.pending.find(frame.header.request_id);
         if (it == w.pending.end()) return;  // stale: re-dispatched or shed
         p = std::move(it->second);
@@ -405,15 +410,16 @@ void Router::handle_pong(Worker& w, const Frame& frame) {
     {
         sync::MutexLock lock(mu_);
         w.gauges = g;
-        w.ping_outstanding = false;
+        // Only the answer to the outstanding ping counts: a pong to a ping
+        // that already timed out says nothing about the worker now.
+        if (w.ping_id == 0 || frame.header.request_id != w.ping_id) return;
+        w.ping_id = 0;
         if (w.state == WorkerState::kHalfOpen) {
             w.state = WorkerState::kUp;
-            w.consecutive_failures = 0;
             ++counters_.worker_readmits;
             readmitted = true;
-        } else if (w.state == WorkerState::kUp) {
-            w.consecutive_failures = 0;
         }
+        if (w.state == WorkerState::kUp) w.breaker.succeed();
     }
     if (readmitted) capacity_cv_.notify_all();
 }
@@ -439,7 +445,7 @@ void Router::handle_reload_response(Worker& w, const Frame& frame) {
     {
         sync::MutexLock lock(mu_);
         // A reload reply proves liveness as well as a pong does.
-        w.consecutive_failures = 0;
+        if (w.state == WorkerState::kUp) w.breaker.succeed();
         auto it = w.pending_reloads.find(frame.header.request_id);
         if (it == w.pending_reloads.end()) return;  // probe already timed out
         promise = std::move(it->second);
@@ -462,15 +468,14 @@ void Router::take_worker_out(Worker& w, WorkerState to_state, const char* reason
         if (w.state == WorkerState::kDead) return;
         if (to_state == WorkerState::kDead) {
             w.state = WorkerState::kDead;
+            w.breaker.reset();
             if (!stopping_) ++counters_.worker_deaths;
         } else {
             if (w.state == WorkerState::kEjected) return;
             w.state = WorkerState::kEjected;
-            w.ejected_at = Clock::now();
             ++counters_.worker_ejects;
         }
-        w.ping_outstanding = false;
-        w.consecutive_failures = 0;
+        w.ping_id = 0;
         stranded.reserve(w.pending.size());
         for (auto& [id, p] : w.pending) stranded.push_back(std::move(p));
         w.pending.clear();
@@ -542,8 +547,8 @@ void Router::send_ping(Worker& w) {
         sync::MutexLock lock(mu_);
         if (w.state == WorkerState::kDead) return;
         id = next_request_id_++;
+        w.ping_id = id;
         w.ping_sent_at = Clock::now();
-        w.ping_outstanding = true;
     }
     try {
         sync::MutexLock wl(w.write_mu);
@@ -574,38 +579,31 @@ void Router::health_loop() {
                 sync::MutexLock lock(mu_);
                 const auto now = Clock::now();
                 const bool overdue =
-                    w.ping_outstanding &&
+                    w.ping_id != 0 &&
                     now - w.ping_sent_at >
                         std::chrono::milliseconds(config_.health_timeout_ms);
                 switch (w.state) {
                     case WorkerState::kUp:
+                    case WorkerState::kHalfOpen:
                         if (overdue) {
-                            w.ping_outstanding = false;
-                            if (++w.consecutive_failures >= config_.eject_threshold) {
-                                action = Action::kEject;
+                            w.ping_id = 0;
+                            if (!w.breaker.fail(now)) break;
+                            if (w.state == WorkerState::kUp) {
+                                action = Action::kEject;  // strands its frames
+                            } else {
+                                // Failed trial ping: the breaker snaps back
+                                // open, an eject like the first opening.
+                                w.state = WorkerState::kEjected;
+                                ++counters_.worker_ejects;
                             }
-                        } else if (!w.ping_outstanding) {
+                        } else if (w.ping_id == 0) {
                             action = Action::kPing;
                         }
                         break;
                     case WorkerState::kEjected:
-                        if (now - w.ejected_at >=
-                            std::chrono::milliseconds(config_.readmit_ms)) {
+                        if (w.breaker.poll(now) == serve::Breaker::State::kHalfOpen) {
                             w.state = WorkerState::kHalfOpen;
-                            w.ping_outstanding = false;
                             action = Action::kPing;  // the trial probe
-                        }
-                        break;
-                    case WorkerState::kHalfOpen:
-                        if (overdue) {
-                            // Failed probe: breaker snaps back open, which
-                            // counts as an eject like the first opening.
-                            w.state = WorkerState::kEjected;
-                            w.ejected_at = now;
-                            w.ping_outstanding = false;
-                            ++counters_.worker_ejects;
-                        } else if (!w.ping_outstanding) {
-                            action = Action::kPing;
                         }
                         break;
                     case WorkerState::kReloading:
@@ -639,8 +637,7 @@ void Router::health_loop() {
                         {
                             sync::MutexLock lock(mu_);
                             w.state = WorkerState::kUp;
-                            w.consecutive_failures = 0;
-                            w.ping_outstanding = false;
+                            w.ping_id = 0;
                             w.gauges = WorkerGauges{};
                             ++counters_.worker_respawns;
                         }
@@ -835,7 +832,7 @@ RolloutReport Router::rolling_reload(const std::string& weights_path,
                 break;
             }
             w.state = WorkerState::kReloading;
-            w.ping_outstanding = false;
+            w.ping_id = 0;
         }
         // Drain: wait for this worker's in-flight frames to come back so the
         // swap never races a request against the model it was dispatched to.

@@ -10,10 +10,10 @@
 //    pipelining up to `worker_inflight_limit` frames per worker;
 //  * enforces per-client admission control: an in-flight cap and a
 //    token-bucket quota, shedding violators immediately as kRejected;
-//  * health-checks workers with ping frames and folds the results into the
-//    same circuit-breaker shape the in-process service uses for threads
-//    (PR 5): `eject_threshold` consecutive failures eject a worker, after
-//    `readmit_ms` it half-opens and a successful probe re-admits it, and
+//  * health-checks workers with ping frames and feeds the results into one
+//    serve::Breaker per worker, the breaker the in-process service runs:
+//    `eject_threshold` consecutive failures eject a worker, after
+//    `readmit_ms` it half-opens and an answered trial ping re-admits it, and
 //    dead spawned workers are reaped and respawned like the in-process
 //    watchdog respawns threads;
 //  * guarantees the PR-5 accounting invariant fleet-wide: every accepted
@@ -41,6 +41,7 @@
 #include "cluster/protocol.hpp"
 #include "image/image.hpp"
 #include "io/fdio.hpp"
+#include "serve/breaker.hpp"
 #include "serve/detection_service.hpp"
 #include "sync/mutex.hpp"
 
@@ -87,9 +88,9 @@ struct RouterConfig {
     double client_burst = 8;              ///< token-bucket depth
 
     // --- health / breaker / respawn ---
-    std::int64_t health_interval_ms = 50;  ///< ping cadence per worker
+    std::int64_t health_interval_ms = 50;  ///< ping cadence per worker (> 0)
     std::int64_t health_timeout_ms = 2000; ///< unanswered ping = one failure
-    int eject_threshold = 3;               ///< consecutive failures to eject
+    int eject_threshold = 3;               ///< consecutive failures to eject (>= 1)
     std::int64_t readmit_ms = 500;         ///< ejected -> half-open delay
     bool respawn = true;                   ///< restart dead spawned workers
     /// Re-dispatch budget for frames stranded on a dead/ejected worker;
@@ -213,6 +214,9 @@ class Router {
     };
 
     struct Worker {
+        Worker(std::size_t slot, serve::Breaker breaker)
+            : slot(slot), breaker(breaker) {}
+
         std::size_t slot = 0;
         io::UniqueFd fd;
         pid_t pid = -1;  ///< -1 for adopted workers
@@ -228,10 +232,10 @@ class Router {
         std::map<std::uint64_t, PendingRequest> pending;
         std::map<std::uint64_t, std::promise<WireStats>> pending_stats;
         std::map<std::uint64_t, std::promise<WireReloadResponse>> pending_reloads;
-        int consecutive_failures = 0;
-        std::chrono::steady_clock::time_point ejected_at;
-        std::chrono::steady_clock::time_point ping_sent_at;  ///< zero = none
-        bool ping_outstanding = false;
+        /// Open while kEjected, half-open while kHalfOpen; reset on death.
+        serve::Breaker breaker;
+        std::uint64_t ping_id = 0;  ///< outstanding ping's request id; 0 = none
+        std::chrono::steady_clock::time_point ping_sent_at;
         WorkerGauges gauges;  ///< from the last pong
     };
 

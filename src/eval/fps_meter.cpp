@@ -38,36 +38,4 @@ double FpsMeter::fps() const noexcept {
     return total_ms_ > 0 ? 1000.0 * frames_ / total_ms_ : 0.0;
 }
 
-void ConcurrentFpsMeter::record_latency_ms(double ms) {
-    const auto now = Clock::now();
-    sync::MutexLock lock(mu_);
-    if (frames_ == 0) first_ = now;
-    last_ = now;
-    total_ms_ += ms;
-    max_ms_ = std::max(max_ms_, ms);
-    ++frames_;
-}
-
-int ConcurrentFpsMeter::frames() const {
-    sync::MutexLock lock(mu_);
-    return frames_;
-}
-
-double ConcurrentFpsMeter::mean_latency_ms() const {
-    sync::MutexLock lock(mu_);
-    return frames_ > 0 ? total_ms_ / frames_ : 0.0;
-}
-
-double ConcurrentFpsMeter::max_latency_ms() const {
-    sync::MutexLock lock(mu_);
-    return max_ms_;
-}
-
-double ConcurrentFpsMeter::fps() const {
-    sync::MutexLock lock(mu_);
-    if (frames_ < 2) return 0.0;
-    const double seconds = std::chrono::duration<double>(last_ - first_).count();
-    return seconds > 0 ? static_cast<double>(frames_ - 1) / seconds : 0.0;
-}
-
 }  // namespace dronet

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <functional>
 
-#include "sync/mutex.hpp"
-
 namespace dronet {
 
 /// Runs `frame` `warmup` times unmeasured, then `iters` times measured;
@@ -33,32 +31,6 @@ class FpsMeter {
     double max_ms_ = 0;
     int frames_ = 0;
     bool open_ = false;
-};
-
-/// Thread-safe FPS/latency aggregator for multi-worker serving: frames
-/// overlap in time, so per-frame latency is reported by each worker via
-/// record_latency_ms() and throughput is wall-clock from the first to the
-/// last recorded frame (not the sum of latencies, which double-counts
-/// concurrent work).
-class ConcurrentFpsMeter {
-  public:
-    /// Records one completed frame with its end-to-end latency.
-    void record_latency_ms(double ms);
-
-    [[nodiscard]] int frames() const;
-    [[nodiscard]] double mean_latency_ms() const;
-    [[nodiscard]] double max_latency_ms() const;
-    /// Frames per wall-clock second across all workers.
-    [[nodiscard]] double fps() const;
-
-  private:
-    using Clock = std::chrono::steady_clock;
-    mutable sync::Mutex mu_{"ConcurrentFpsMeter::mu"};
-    Clock::time_point first_ GUARDED_BY(mu_){};
-    Clock::time_point last_ GUARDED_BY(mu_){};
-    double total_ms_ GUARDED_BY(mu_) = 0;
-    double max_ms_ GUARDED_BY(mu_) = 0;
-    int frames_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace dronet

@@ -34,7 +34,9 @@ DetectionService::DetectionService(const Network& prototype, ServiceConfig confi
     : config_(config),
       altitude_filter_(config.pipeline.camera, config.pipeline.size_prior),
       queue_(config.queue_capacity, config.policy),
-      started_at_(std::chrono::steady_clock::now()) {
+      started_at_(std::chrono::steady_clock::now()),
+      breaker_(config.breaker_threshold,
+               std::chrono::milliseconds(config.breaker_open_ms)) {
     if (config_.workers <= 0) {
         throw std::invalid_argument("DetectionService: workers must be positive");
     }
@@ -483,30 +485,21 @@ void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
 bool DetectionService::breaker_allows() {
     if (config_.breaker_threshold <= 0) return true;
     sync::MutexLock lock(breaker_mu_);
-    if (!breaker_open_) return true;
-    const double open_ms = ms_since(breaker_opened_at_);
-    if (open_ms >= static_cast<double>(config_.breaker_open_ms)) {
-        // Half-open: admit frames as the trial. The failure count stays at
-        // the threshold, so the next frame failure re-opens the breaker at
-        // once and the next success, which zeroes the count, closes it.
-        breaker_open_ = false;
-        stats_.record_breaker_open_ms(open_ms);
-        return true;
-    }
-    return false;
+    if (breaker_.state() != Breaker::State::kOpen) return true;
+    const auto now = std::chrono::steady_clock::now();
+    if (breaker_.poll(now) == Breaker::State::kOpen) return false;
+    // Half-open: frames are admitted as the trial.
+    stats_.record_breaker_open_ms(
+        std::chrono::duration<double, std::milli>(now - breaker_.opened_at()).count());
+    return true;
 }
 
 void DetectionService::note_frame_failure() {
     bool opened = false;
     if (config_.breaker_threshold > 0) {
         sync::MutexLock lock(breaker_mu_);
-        ++breaker_failures_;
-        if (!breaker_open_ && breaker_failures_ >= config_.breaker_threshold) {
-            breaker_open_ = true;
-            breaker_opened_at_ = std::chrono::steady_clock::now();
-            stats_.record_breaker_opened();
-            opened = true;
-        }
+        opened = breaker_.fail(std::chrono::steady_clock::now());
+        if (opened) stats_.record_breaker_opened();
     }
     // Outside breaker_mu_: the rollback path takes model_mu_, and holding
     // both here would order them against reload (model lock order).
@@ -516,7 +509,7 @@ void DetectionService::note_frame_failure() {
 void DetectionService::note_frame_success() {
     if (config_.breaker_threshold <= 0) return;
     sync::MutexLock lock(breaker_mu_);
-    breaker_failures_ = 0;
+    breaker_.succeed();
 }
 
 namespace {
@@ -684,8 +677,8 @@ ServeStatsSnapshot DetectionService::stats() const {
     ServeStatsSnapshot s = stats_.snapshot();
     if (config_.breaker_threshold > 0) {
         sync::MutexLock lock(breaker_mu_);
-        if (breaker_open_) {
-            s.breaker_open_ms += ms_since(breaker_opened_at_);
+        if (breaker_.state() == Breaker::State::kOpen) {
+            s.breaker_open_ms += ms_since(breaker_.opened_at());
         }
     }
     s.model_version = model_version();

@@ -36,6 +36,7 @@
 
 #include "nn/network.hpp"
 #include "serve/bounded_queue.hpp"
+#include "serve/breaker.hpp"
 #include "serve/serve_stats.hpp"
 #include "sync/mutex.hpp"
 #include "video/pipeline.hpp"
@@ -319,12 +320,7 @@ class DetectionService {
     // Circuit breaker (mutable so stats() can fold the live open interval
     // into the snapshot).
     mutable sync::Mutex breaker_mu_{"DetectionService::breaker_mu"};
-    /// Consecutive frame failures. At or above the threshold while not open,
-    /// the breaker is half-open.
-    int breaker_failures_ GUARDED_BY(breaker_mu_) = 0;
-    bool breaker_open_ GUARDED_BY(breaker_mu_) = false;
-    std::chrono::steady_clock::time_point breaker_opened_at_
-        GUARDED_BY(breaker_mu_);
+    Breaker breaker_ GUARDED_BY(breaker_mu_);
 
     // drain() bookkeeping: frames accepted into the queue vs. resolved.
     mutable sync::Mutex inflight_mu_{"DetectionService::inflight_mu"};

@@ -273,6 +273,50 @@ TEST(Chaos, BreakerHalfOpenFailureReopensAtOnce) {
     service.stop();
 }
 
+// A frame accepted before the breaker opened can finish while it is open.
+// Its success must not reset the breaker: the half-open trial still decides.
+TEST(Chaos, SuccessWhileBreakerOpenDoesNotSkipHalfOpen) {
+    if (!fault::compiled_in()) GTEST_SKIP() << "DRONET_FAULTS is off";
+    Network net = build_model(ModelId::kDroNet, {.input_size = 96, .filter_scale = 0.35f});
+    serve::ServiceConfig sc;
+    sc.workers = 1;
+    sc.breaker_threshold = 2;
+    sc.breaker_open_ms = 100;
+    sc.pipeline = low_threshold_pipeline();
+    DetectionService service(net, sc);
+    const DetectionDataset frames =
+        generate_dataset(benchmark_scene_config(96), 3, /*seed=*/7);
+
+    {
+        // f0 and f1 each fail twice (batch forward, then the solo retry) and
+        // open the breaker. The 50 ms stall on a worker pop lets all three
+        // frames queue before it opens, so f2 is forwarded, and succeeds,
+        // while it is open.
+        fault::ScopedFaultPlan plan(
+            "queue.pop:latency:latency=50:nth=1;network.forward:throw:times=4");
+        auto f0 = service.submit(frames.image(0));
+        auto f1 = service.submit(frames.image(1));
+        auto f2 = service.submit(frames.image(2));
+        EXPECT_EQ(get_or_die(f0).status, ServeStatus::kFailed);
+        EXPECT_EQ(get_or_die(f1).status, ServeStatus::kFailed);
+        EXPECT_EQ(get_or_die(f2).status, ServeStatus::kOk);
+    }
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    fault::ScopedFaultPlan plan("network.forward:throw");
+    auto trial = service.submit(frames.image(0));
+    EXPECT_EQ(get_or_die(trial).status, ServeStatus::kFailed);
+    auto shed = service.submit(frames.image(1));
+    const ServeResult r = get_or_die(shed);
+    EXPECT_EQ(r.status, ServeStatus::kRejected);
+    EXPECT_NE(r.error.find("breaker"), std::string::npos) << r.error;
+
+    const ServeStatsSnapshot snap = service.stats();
+    EXPECT_EQ(snap.breaker_opens, 2u);
+    expect_accounting(snap);
+    service.stop();
+}
+
 TEST(Chaos, OverloadBurstDegradesToFallbackSizeAndRecovers) {
     if (!fault::compiled_in()) GTEST_SKIP() << "DRONET_FAULTS is off";
     Network net = build_model(ModelId::kDroNet, {.input_size = 128, .filter_scale = 0.35f});

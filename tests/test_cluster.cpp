@@ -20,6 +20,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -421,9 +422,9 @@ TEST(WorkerServer, ReloadSwapsRollsBackAndRejectsBadCandidates) {
 
 /// Speaks the wire protocol on one socketpair end but only answers when the
 /// test says so: detect requests are held until release_all(), pings are
-/// answered only while answer_pings is on. That makes admission, dispatch,
-/// retry, and breaker transitions deterministic — no timing races on real
-/// compute.
+/// answered only while answer_pings is on (or held for answer_oldest_ping()
+/// while hold_pings is on). That makes admission, dispatch, retry, and
+/// breaker transitions deterministic — no timing races on real compute.
 class FakeWorker {
   public:
     explicit FakeWorker(io::UniqueFd fd)
@@ -443,6 +444,22 @@ class FakeWorker {
     }
 
     void set_answer_pings(bool v) { answer_pings_.store(v); }
+    /// Keeps the ids of pings read from now on, answering none of them.
+    void set_hold_pings(bool v) { hold_pings_.store(v); }
+
+    /// Answers the oldest held ping; false when none is held.
+    bool answer_oldest_ping() {
+        std::uint64_t id = 0;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (held_pings_.empty()) return false;
+            id = held_pings_.front();
+            held_pings_.erase(held_pings_.begin());
+        }
+        std::lock_guard<std::mutex> wl(write_mu_);
+        cluster::write_frame(fd_.get(), Opcode::kPong, id, cluster::encode_pong({}));
+        return true;
+    }
 
     /// Scripted verdict for subsequent reload requests (rollbacks always
     /// succeed, like the real service keeping prev_set_ around).
@@ -494,7 +511,10 @@ class FakeWorker {
                         break;
                     }
                     case Opcode::kPing:
-                        if (answer_pings_.load()) {
+                        if (hold_pings_.load()) {
+                            std::lock_guard<std::mutex> lock(mu_);
+                            held_pings_.push_back(f.header.request_id);
+                        } else if (answer_pings_.load()) {
                             std::lock_guard<std::mutex> wl(write_mu_);
                             cluster::write_frame(fd_.get(), Opcode::kPong,
                                                  f.header.request_id,
@@ -540,8 +560,10 @@ class FakeWorker {
     io::UniqueFd fd_;
     std::mutex mu_;
     std::vector<std::uint64_t> held_;
+    std::vector<std::uint64_t> held_pings_;
     std::mutex write_mu_;
     std::atomic<bool> answer_pings_{true};
+    std::atomic<bool> hold_pings_{false};
     std::atomic<bool> reload_ok_{true};
     std::atomic<int> reload_requests_{0};
     std::atomic<int> rollback_requests_{0};
@@ -806,6 +828,53 @@ TEST(Router, FailedHalfOpenProbeCountsAsEject) {
     EXPECT_GE(fs.worker_ejects, 2u) << fs.to_json();
     EXPECT_EQ(fs.worker_readmits, 0u) << fs.to_json();
     router.stop();
+}
+
+// Only the answer to the outstanding ping counts: a pong to a ping that
+// already timed out must not stand in for the half-open trial.
+TEST(Router, StalePongDoesNotReadmitHalfOpenWorker) {
+    SocketPair sp;
+    const int adopt_fd = sp.a.release();
+    FakeWorker fake(std::move(sp.b));
+    cluster::RouterConfig rc = adopt_config({adopt_fd});
+    rc.health_interval_ms = 10;
+    rc.health_timeout_ms = 200;
+    rc.eject_threshold = 1;
+    rc.readmit_ms = 20;
+    fake.set_hold_pings(true);
+    cluster::Router router(rc);
+
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (router.worker_state(0) != cluster::WorkerState::kHalfOpen &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(router.worker_state(0), cluster::WorkerState::kHalfOpen);
+    // The oldest held ping is the one that timed out and ejected the worker;
+    // the trial ping sent on half-open is still unanswered.
+    ASSERT_TRUE(fake.answer_oldest_ping());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_NE(router.worker_state(0), cluster::WorkerState::kUp);
+    const cluster::FleetStats fs = router.fleet_stats(/*timeout_ms=*/100);
+    EXPECT_EQ(fs.worker_readmits, 0u) << fs.to_json();
+    router.stop();
+}
+
+// A non-positive ping interval would spin the health thread, and a threshold
+// below one has no meaning for a breaker that counts failures (the service's
+// breaker_threshold 0 means "off").
+TEST(Router, RejectsBadHealthKnobs) {
+    // The checks throw before any worker is spawned; without them this one
+    // would fail its exec and stay dead.
+    cluster::RouterConfig rc;
+    rc.workers = 1;
+    rc.worker_argv = {"never-spawned"};
+    rc.respawn = false;
+    rc.health_interval_ms = 0;
+    EXPECT_THROW(cluster::Router{rc}, std::invalid_argument);
+    rc.health_interval_ms = 50;
+    rc.eject_threshold = 0;
+    EXPECT_THROW(cluster::Router{rc}, std::invalid_argument);
 }
 
 TEST(Router, StopResolvesHeldFramesAsShutdown) {

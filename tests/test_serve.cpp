@@ -1,7 +1,8 @@
 // Concurrency tests for the serving subsystem (src/serve): bounded-queue
-// semantics under contention, latency-histogram math, network replication
-// fidelity, and the determinism contract — a multi-worker DetectionService
-// must produce bit-identical detections to the serial DetectionPipeline.
+// semantics under contention, latency-histogram math, the circuit-breaker
+// policy on explicit time, network replication fidelity, and the determinism
+// contract — a multi-worker DetectionService must produce bit-identical
+// detections to the serial DetectionPipeline.
 // These tests carry the `concurrency` ctest label and run under TSan in
 // scripts/run_all.sh.
 #include <gtest/gtest.h>
@@ -17,8 +18,10 @@
 #include "models/model_zoo.hpp"
 #include "nn/clone.hpp"
 #include "serve/bounded_queue.hpp"
+#include "serve/breaker.hpp"
 #include "serve/detection_service.hpp"
 #include "serve/serve_stats.hpp"
+#include "tensor/rng.hpp"
 #include "video/pipeline.hpp"
 
 namespace dronet {
@@ -26,6 +29,7 @@ namespace {
 
 using serve::BackpressurePolicy;
 using serve::BoundedQueue;
+using serve::Breaker;
 using serve::DetectionService;
 using serve::LatencyHistogram;
 using serve::PushOutcome;
@@ -282,6 +286,127 @@ TEST(LatencyHistogram, MergeAccumulates) {
 }
 
 // ---- clone_network ----------------------------------------------------------
+
+// ---- Breaker ----------------------------------------------------------------
+
+using std::chrono::milliseconds;
+
+/// Time point `ms` milliseconds after an arbitrary epoch.
+Breaker::Clock::time_point at_ms(std::int64_t ms) {
+    return Breaker::Clock::time_point{} + milliseconds(ms);
+}
+
+TEST(Breaker, TransitionsOnExplicitTime) {
+    Breaker b(3, milliseconds(100));
+    // Closed: a success zeroes the count, so only 3 failures in a row open it.
+    EXPECT_FALSE(b.fail(at_ms(0)));
+    EXPECT_FALSE(b.fail(at_ms(1)));
+    b.succeed();
+    EXPECT_FALSE(b.fail(at_ms(2)));
+    EXPECT_FALSE(b.fail(at_ms(3)));
+    EXPECT_EQ(b.poll(at_ms(4)), Breaker::State::kClosed);
+    EXPECT_TRUE(b.fail(at_ms(10)));
+    EXPECT_EQ(b.state(), Breaker::State::kOpen);
+    EXPECT_EQ(b.opened_at(), at_ms(10));
+
+    // Open: results change nothing, and the window runs from the opening.
+    EXPECT_FALSE(b.fail(at_ms(20)));
+    b.succeed();
+    EXPECT_EQ(b.opened_at(), at_ms(10));
+    EXPECT_EQ(b.poll(at_ms(109)), Breaker::State::kOpen);
+    EXPECT_EQ(b.poll(at_ms(110)), Breaker::State::kHalfOpen);
+
+    // Half-open: one failure re-opens it at once, with a fresh window...
+    EXPECT_TRUE(b.fail(at_ms(120)));
+    EXPECT_EQ(b.opened_at(), at_ms(120));
+    EXPECT_EQ(b.poll(at_ms(219)), Breaker::State::kOpen);
+    EXPECT_EQ(b.poll(at_ms(220)), Breaker::State::kHalfOpen);
+    // ...and one success closes it with the count at zero.
+    b.succeed();
+    EXPECT_EQ(b.state(), Breaker::State::kClosed);
+    EXPECT_FALSE(b.fail(at_ms(230)));
+    EXPECT_FALSE(b.fail(at_ms(231)));
+    EXPECT_TRUE(b.fail(at_ms(232)));
+
+    // reset() closes an open breaker and forgets the count.
+    b.reset();
+    EXPECT_EQ(b.poll(at_ms(233)), Breaker::State::kClosed);
+    EXPECT_FALSE(b.fail(at_ms(234)));
+    b.reset();
+    EXPECT_FALSE(b.fail(at_ms(235)));
+    EXPECT_FALSE(b.fail(at_ms(236)));
+    EXPECT_TRUE(b.fail(at_ms(237)));
+}
+
+/// The policy written out row by row, independently of Breaker: failures
+/// count only while closed, an opening records its time, and nothing but a
+/// poll past the window leaves the open state.
+struct ReferenceBreaker {
+    int threshold = 1;
+    std::int64_t window_ms = 0;
+    bool open = false;
+    bool half_open = false;
+    int failures = 0;
+    std::int64_t opened_ms = 0;
+
+    bool fail(std::int64_t now_ms) {
+        if (open) return false;
+        if (!half_open && ++failures < threshold) return false;
+        open = true;
+        half_open = false;
+        failures = 0;
+        opened_ms = now_ms;
+        return true;
+    }
+    void succeed() {
+        if (open) return;
+        half_open = false;
+        failures = 0;
+    }
+    void poll(std::int64_t now_ms) {
+        if (open && now_ms - opened_ms >= window_ms) {
+            open = false;
+            half_open = true;
+        }
+    }
+    [[nodiscard]] Breaker::State state() const {
+        if (open) return Breaker::State::kOpen;
+        return half_open ? Breaker::State::kHalfOpen : Breaker::State::kClosed;
+    }
+};
+
+TEST(Breaker, SeededSchedulesMatchReferenceModel) {
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        Rng rng(seed);
+        ReferenceBreaker ref;
+        ref.threshold = rng.uniform_int(1, 4);
+        ref.window_ms = rng.uniform_int(0, 49);
+        Breaker b(ref.threshold, milliseconds(ref.window_ms));
+        std::int64_t now = 0;
+        for (int event = 0; event < 100; ++event) {
+            now += rng.uniform_int(0, 29);
+            switch (rng.uniform_int(0, 2)) {
+                case 0:
+                    ASSERT_EQ(b.fail(at_ms(now)), ref.fail(now))
+                        << "seed " << seed << " event " << event;
+                    break;
+                case 1:
+                    b.succeed();
+                    ref.succeed();
+                    break;
+                default:
+                    ref.poll(now);
+                    ASSERT_EQ(b.poll(at_ms(now)), ref.state())
+                        << "seed " << seed << " event " << event;
+                    break;
+            }
+            ASSERT_EQ(b.state(), ref.state()) << "seed " << seed << " event " << event;
+            if (ref.open) {
+                ASSERT_EQ(b.opened_at(), at_ms(ref.opened_ms));
+            }
+        }
+    }
+}
 
 TEST(CloneNetwork, ReplicaForwardIsBitIdentical) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 96, .filter_scale = 0.5f});
