@@ -105,7 +105,8 @@ ctest --test-dir build-tsan -L cluster-inproc --output-on-failure 2>&1 \
 # crash-safe checkpointing — tests/test_chaos.cpp), then a fault-injected
 # serve_bench run: a worker-killing forward fault plus per-frame deadlines
 # must still resolve every future (no --expect-complete: the killed frame is
-# counted `failed` by design, and the run exits non-zero if any future hangs).
+# counted `failed` by design; the run exits non-zero if any future hangs or
+# the drained stats break the accounting identity).
 ctest --test-dir build-tsan -L chaos --output-on-failure 2>&1 \
   | tee tsan_chaos_output.txt
 ./build-tsan/tools/serve_bench --workers 2 --streams 2 --frames-per-stream 8 \

@@ -197,24 +197,26 @@ std::future<serve::ServeResult> Router::submit(std::uint64_t client_id,
         note_first_submit_locked();
         ++counters_.submitted;
         p.frame_index = next_frame_index_++;
+        // Every submit counts against its client and drain() until it
+        // leaves through finish_locked(), sheds included.
+        ClientState& c = clients_[client_id];
+        const std::uint64_t client_inflight = c.inflight++;
+        ++total_pending_;
         if (stopping_) {
             shed_status = serve::ServeStatus::kShutdown;
             shed_error = "router stopped";
-            count_resolution_locked(shed_status);
         } else {
             // --- admission control ---
-            ClientState& c = clients_[client_id];
             if (!c.initialized) {
                 c.initialized = true;
                 c.tokens = config_.client_burst;
                 c.last_refill = now;
             }
             if (config_.client_max_inflight > 0 &&
-                c.inflight >= config_.client_max_inflight) {
+                client_inflight >= config_.client_max_inflight) {
                 shed_status = serve::ServeStatus::kRejected;
                 shed_error = "admission: client in-flight cap reached";
                 ++counters_.rejected_admission;
-                count_resolution_locked(shed_status);
             } else if (config_.client_rate_per_s > 0) {
                 const double elapsed_s =
                     std::chrono::duration<double>(now - c.last_refill).count();
@@ -225,49 +227,42 @@ std::future<serve::ServeResult> Router::submit(std::uint64_t client_id,
                     shed_status = serve::ServeStatus::kRejected;
                     shed_error = "admission: client quota exhausted";
                     ++counters_.rejected_quota;
-                    count_resolution_locked(shed_status);
                 } else {
                     c.tokens -= 1.0;
                 }
             }
-            if (shed_status == serve::ServeStatus::kOk) {
-                // Accepted: counts against the client until resolved.
-                c.inflight++;
-                ++total_pending_;
-                // --- dispatch ---
-                for (;;) {
-                    target = pick_worker_locked(false);
-                    if (target != nullptr) break;
-                    // A reloading worker counts as coming back: submits wait
-                    // out a rolling reload instead of shedding (matters for
-                    // single-worker fleets, which would otherwise reject
-                    // every frame for the duration of the swap).
-                    const bool any_up = std::any_of(
-                        workers_.begin(), workers_.end(), [](const auto& w) {
-                            return w->state == WorkerState::kUp ||
-                                   w->state == WorkerState::kReloading;
-                        });
-                    if (stopping_ || !any_up) {
-                        shed_status = stopping_ ? serve::ServeStatus::kShutdown
-                                                : serve::ServeStatus::kRejected;
-                        shed_error = stopping_ ? "router stopped"
-                                               : "no healthy worker available";
-                        if (!stopping_) ++counters_.rejected_no_worker;
-                        count_resolution_locked(shed_status);
-                        clients_[client_id].inflight--;
-                        --total_pending_;
-                        break;
-                    }
+            // --- dispatch ---
+            while (shed_status == serve::ServeStatus::kOk) {
+                target = pick_worker_locked(false);
+                if (target != nullptr) break;
+                // A reloading worker counts as coming back: submits wait
+                // out a rolling reload instead of shedding (matters for
+                // single-worker fleets, which would otherwise reject
+                // every frame for the duration of the swap).
+                const bool any_up = std::any_of(
+                    workers_.begin(), workers_.end(), [](const auto& w) {
+                        return w->state == WorkerState::kUp ||
+                               w->state == WorkerState::kReloading;
+                    });
+                if (stopping_) {
+                    shed_status = serve::ServeStatus::kShutdown;
+                    shed_error = "router stopped";
+                } else if (!any_up) {
+                    shed_status = serve::ServeStatus::kRejected;
+                    shed_error = "no healthy worker available";
+                    ++counters_.rejected_no_worker;
+                } else {
                     capacity_cv_.wait(mu_);
                 }
             }
-            if (target != nullptr) {
-                id = register_locked(*target, std::move(p));
-            }
+        }
+        if (target != nullptr) {
+            id = register_locked(*target, std::move(p));
+        } else {
+            finish_locked(client_id, shed_status);
         }
     }
     if (target == nullptr) {
-        drained_cv_.notify_all();
         resolve_shed(std::move(p), shed_status, std::move(shed_error));
         return fut;
     }
@@ -317,7 +312,10 @@ void Router::resolve_shed(PendingRequest p, serve::ServeStatus status,
     p.promise.set_value(std::move(r));
 }
 
-void Router::count_resolution_locked(serve::ServeStatus status) {
+// The one exit of a frame from the router's books: counts its outcome, then
+// releases its client's in-flight slot and the drain barrier. The caller
+// fulfils the promise after dropping mu_, so the count is visible first.
+void Router::finish_locked(std::uint64_t client_id, serve::ServeStatus status) {
     switch (status) {
         case serve::ServeStatus::kOk: ++counters_.ok; break;
         case serve::ServeStatus::kDropped: ++counters_.dropped; break;
@@ -327,6 +325,8 @@ void Router::count_resolution_locked(serve::ServeStatus status) {
         case serve::ServeStatus::kShutdown: ++counters_.shutdown; break;
     }
     last_resolution_ = Clock::now();
+    clients_[client_id].inflight--;
+    if (--total_pending_ == 0) drained_cv_.notify_all();
 }
 
 void Router::note_first_submit_locked() {
@@ -385,15 +385,9 @@ void Router::handle_detect_response(Worker& w, const Frame& frame) {
         p = std::move(it->second);
         w.pending.erase(it);
         if (w.inflight > 0) w.inflight--;
-        --total_pending_;
-        auto cit = clients_.find(p.client_id);
-        if (cit != clients_.end() && cit->second.inflight > 0) {
-            cit->second.inflight--;
-        }
-        count_resolution_locked(wire.status);
+        finish_locked(p.client_id, wire.status);
     }
     capacity_cv_.notify_all();
-    drained_cv_.notify_all();
     serve::ServeResult r;
     r.status = wire.status;
     r.frame.frame_index = p.frame_index;  // fleet-wide index, not worker-local
@@ -502,7 +496,6 @@ void Router::redispatch_or_shed(std::vector<PendingRequest> stranded) {
         const std::vector<std::uint8_t> payload = encode_detect_request(p.frame);
         Worker* target = nullptr;
         std::uint64_t id = 0;
-        const int frame_index = p.frame_index;
         {
             sync::MutexLock lock(mu_);
             if (!stopping_ && p.retries_left > 0) {
@@ -514,21 +507,14 @@ void Router::redispatch_or_shed(std::vector<PendingRequest> stranded) {
                 ++counters_.retried;
                 id = register_locked(*target, std::move(p));
             } else {
-                count_resolution_locked(serve::ServeStatus::kShutdown);
-                auto cit = clients_.find(p.client_id);
-                if (cit != clients_.end() && cit->second.inflight > 0) {
-                    cit->second.inflight--;
-                }
-                --total_pending_;
+                finish_locked(p.client_id, serve::ServeStatus::kShutdown);
             }
         }
         if (target == nullptr) {
-            drained_cv_.notify_all();
             resolve_shed(std::move(p), serve::ServeStatus::kShutdown,
                          "worker lost; no re-dispatch budget or healthy worker");
             continue;
         }
-        (void)frame_index;
         try {
             sync::MutexLock wl(target->write_mu);
             write_frame(target->fd.get(), Opcode::kDetectRequest, id, payload);

@@ -268,12 +268,16 @@ class Router {
     /// Picks a dispatch target under mu_; nullptr when none is eligible.
     [[nodiscard]] Worker* pick_worker_locked(bool ignore_inflight_limit)
         REQUIRES(mu_);
-    /// Registers `p` on `w` under mu_ and returns the encoded request frame
-    /// bytes + id for the caller to write outside the lock.
+    /// Registers `p` on `w` under mu_ and returns its request id for the
+    /// caller to write the request outside the lock.
     std::uint64_t register_locked(Worker& w, PendingRequest p) REQUIRES(mu_);
     void resolve_shed(PendingRequest p, serve::ServeStatus status,
                       std::string error);
-    void count_resolution_locked(serve::ServeStatus status) REQUIRES(mu_);
+    /// The one exit of a frame from the router's books (see the definition):
+    /// every outcome counter and every release of a client's in-flight count
+    /// or of total_pending_ happens only here.
+    void finish_locked(std::uint64_t client_id, serve::ServeStatus status)
+        REQUIRES(mu_);
     void note_first_submit_locked() REQUIRES(mu_);
 
     RouterConfig config_;

@@ -28,6 +28,14 @@ constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 /// both ends live in this TU.
 struct DeadlineExpired {};
 
+/// The result of a frame that resolves without detections.
+ServeResult empty_result(ServeStatus status, std::string error = {}) {
+    ServeResult r;
+    r.status = status;
+    r.error = std::move(error);
+    return r;
+}
+
 }  // namespace
 
 DetectionService::DetectionService(const Network& prototype, ServiceConfig config)
@@ -155,71 +163,40 @@ std::future<ServeResult> DetectionService::submit(Image frame) {
                        : kNoDeadline;
     std::future<ServeResult> future = job.promise.get_future();
     stats_.record_submitted();
-
-    if (stopped_.load(std::memory_order_acquire)) {
-        ServeResult r;
-        r.status = ServeStatus::kRejected;
-        r.frame.frame_index = job.frame_index;
-        r.error = "service stopped";
-        stats_.record_rejected();
-        job.promise.set_value(std::move(r));
-        return future;
-    }
-    if (!breaker_allows()) {
-        ServeResult r;
-        r.status = ServeStatus::kRejected;
-        r.frame.frame_index = job.frame_index;
-        r.error = "circuit breaker open";
-        stats_.record_rejected();
-        job.promise.set_value(std::move(r));
-        return future;
-    }
-
     {
+        // Every submission leaves through finish(), sheds included.
         sync::MutexLock lock(inflight_mu_);
         ++accepted_;
     }
-    const int frame_index = job.frame_index;
+
+    const char* shed = stopped_.load(std::memory_order_acquire) ? "service stopped"
+                       : !breaker_allows()                       ? "circuit breaker open"
+                                                                 : nullptr;
+    if (shed != nullptr) {
+        finish(job, empty_result(ServeStatus::kRejected, shed));
+        return future;
+    }
     std::optional<Job> evicted;
     PushOutcome outcome;
     try {
         outcome = queue_.push(std::move(job), &evicted);
     } catch (const std::exception& e) {
-        // Only reachable via an injected queue.push fault; shed the frame so
-        // the accounting invariant (and the caller's future) survive.
-        ServeResult r;
-        r.status = ServeStatus::kRejected;
-        r.frame.frame_index = frame_index;
-        r.error = e.what();
-        stats_.record_rejected();
-        job.promise.set_value(std::move(r));
-        finish_one();
+        // Only reachable via an injected queue.push fault, which fires
+        // before push() takes `job`.
+        finish(job, empty_result(ServeStatus::kRejected, e.what()));
         return future;
     }
     switch (outcome) {
         case PushOutcome::kEnqueued:
             break;
-        case PushOutcome::kEvictedOldest: {
-            ServeResult r;
-            r.status = ServeStatus::kDropped;
-            r.frame.frame_index = evicted->frame_index;
-            stats_.record_dropped();
-            evicted->promise.set_value(std::move(r));
-            finish_one();  // the evicted frame, not the new one
+        case PushOutcome::kEvictedOldest:
+            finish(*evicted, empty_result(ServeStatus::kDropped));  // not the new frame
             break;
-        }
         case PushOutcome::kRejected:
-        case PushOutcome::kClosed: {
-            // push() does not consume its argument on these outcomes, so
-            // `job` (and its promise) is still ours to resolve.
-            ServeResult r;
-            r.status = ServeStatus::kRejected;
-            r.frame.frame_index = job.frame_index;
-            stats_.record_rejected();
-            job.promise.set_value(std::move(r));
-            finish_one();  // was counted accepted above; balance the books
+        case PushOutcome::kClosed:
+            // push() does not consume its argument on these outcomes.
+            finish(job, empty_result(ServeStatus::kRejected));
             break;
-        }
     }
     if (config_.degrade_high_watermark > 0 &&
         (outcome == PushOutcome::kEnqueued || outcome == PushOutcome::kEvictedOldest) &&
@@ -231,10 +208,31 @@ std::future<ServeResult> DetectionService::submit(Image frame) {
     return future;
 }
 
-void DetectionService::resolve(Job& job, ServeResult r) {
-    job.promise.set_value(std::move(r));
+// The one exit of every frame: counts its outcome, fulfils its promise, then
+// releases drain()'s count. In that order, so a caller woken by its future
+// or by drain() already sees the frame in stats(). A non-null `bad_input`
+// resolves the future with that exception instead, counted as failed.
+void DetectionService::finish(Job& job, ServeResult r, std::exception_ptr bad_input) {
+    switch (bad_input ? ServeStatus::kFailed : r.status) {
+        case ServeStatus::kOk: stats_.record_completed(r.timings); break;
+        case ServeStatus::kDropped: stats_.record_dropped(); break;
+        case ServeStatus::kRejected:
+        case ServeStatus::kShutdown: stats_.record_rejected(); break;
+        case ServeStatus::kTimeout: stats_.record_deadline_expired(); break;
+        case ServeStatus::kFailed: stats_.record_failed(); break;
+    }
+    if (bad_input) {
+        job.promise.set_exception(std::move(bad_input));
+    } else {
+        r.frame.frame_index = job.frame_index;
+        job.promise.set_value(std::move(r));
+    }
     job.resolved = true;
-    finish_one();
+    {
+        sync::MutexLock lock(inflight_mu_);
+        ++resolved_;
+    }
+    inflight_cv_.notify_all();
 }
 
 void DetectionService::expire_overdue(std::vector<Job>& jobs) {
@@ -244,12 +242,8 @@ void DetectionService::expire_overdue(std::vector<Job>& jobs) {
     kept.reserve(jobs.size());
     for (Job& job : jobs) {
         if (now > job.deadline) {
-            ServeResult r;
-            r.status = ServeStatus::kTimeout;
-            r.frame.frame_index = job.frame_index;
-            r.error = "deadline expired before processing";
-            stats_.record_deadline_expired();
-            resolve(job, std::move(r));
+            finish(job, empty_result(ServeStatus::kTimeout,
+                                     "deadline expired before processing"));
         } else {
             kept.push_back(std::move(job));
         }
@@ -310,16 +304,12 @@ void DetectionService::worker_loop(std::size_t worker_id) {
 // the watchdog to respawn.
 void DetectionService::on_worker_death(WorkerSlot& slot, std::vector<Job>& jobs,
                                        const char* what) {
+    note_frame_failure();
     for (Job& job : jobs) {
         if (job.resolved) continue;
-        ServeResult r;
-        r.status = ServeStatus::kFailed;
-        r.frame.frame_index = job.frame_index;
-        r.error = std::string("worker died: ") + what;
-        stats_.record_failed();
-        resolve(job, std::move(r));
+        finish(job,
+               empty_result(ServeStatus::kFailed, std::string("worker died: ") + what));
     }
-    note_frame_failure();
     slot.state.store(WorkerSlot::kDead, std::memory_order_release);
 }
 
@@ -375,16 +365,16 @@ Detections DetectionService::detect_with_retry(Network& net, const Image& frame,
     }
 }
 
-// Forwards the popped jobs as one batch and resolves each future
-// individually. Per-frame stage timings are the batch aggregate amortized
-// over the batch (queue wait stays per-frame); detections are bit-identical
-// to processing each frame alone. On a batch error every frame is retried
-// solo (with the configured transient-retry budget), so one bad or unlucky
-// frame never fails its batch-mates.
+// Forwards a batch of several frames in one pass, then resolves each frame
+// on its own. Per-frame stage timings are the batch aggregate amortized over
+// the batch (queue wait stays per-frame); detections are bit-identical to
+// processing each frame alone. A frame the batch gave no detections (every
+// frame of a failed batch, or the only frame of a batch of one) runs alone
+// through detect_with_retry, so one bad or unlucky frame never fails its
+// batch-mates and every frame gets the same retry budget.
 void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
                                      bool degraded) {
     const std::size_t n = jobs.size();
-    stats_.record_batch(n);
     const auto popped = std::chrono::steady_clock::now();
     std::vector<Image> frames;
     frames.reserve(n);
@@ -392,94 +382,59 @@ void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
 
     DetectStageTimings stages;
     std::vector<Detections> dets;
-    bool batch_ok = true;
-    try {
-        dets = detect_images_timed(net, frames, config_.pipeline.eval, &stages);
-    } catch (const fault::WorkerKillFault&) {
-        throw;  // worker_loop fails the held jobs and marks the slot dead
-    } catch (...) {
-        batch_ok = false;
-    }
-
-    if (!batch_ok) {
-        // Retry each frame alone so only genuinely-failing frames carry an
-        // error; transient faults get the per-frame retry budget.
-        for (std::size_t i = 0; i < n; ++i) {
-            Job& job = jobs[i];
-            ServeResult r;
-            r.status = ServeStatus::kOk;
-            r.frame.frame_index = job.frame_index;
-            r.timings.queue_wait_ms = std::chrono::duration<double, std::milli>(
-                                          popped - job.submit_time)
-                                          .count();
-            DetectStageTimings solo;
-            try {
-                r.frame.detections =
-                    detect_with_retry(net, frames[i], job, &solo);
-                if (config_.pipeline.altitude_filter_enabled) {
-                    const auto t0 = std::chrono::steady_clock::now();
-                    r.frame.detections = altitude_filter_.apply(
-                        r.frame.detections, config_.pipeline.altitude_m);
-                    solo.postprocess_ms += ms_since(t0);
-                }
-                r.timings.preprocess_ms = solo.preprocess_ms;
-                r.timings.forward_ms = solo.forward_ms;
-                r.timings.postprocess_ms = solo.postprocess_ms;
-                r.frame.latency_ms = r.timings.total_ms();
-                stats_.record_completed(r.timings);
-                if (degraded) stats_.record_degraded(1);
-                note_frame_success();
-                resolve(job, std::move(r));
-            } catch (const DeadlineExpired&) {
-                r.status = ServeStatus::kTimeout;
-                r.frame.detections.clear();
-                r.error = "deadline expired during retry";
-                stats_.record_deadline_expired();
-                resolve(job, std::move(r));
-            } catch (const fault::WorkerKillFault&) {
-                throw;  // remaining jobs handled by worker_loop
-            } catch (const std::logic_error&) {
-                // Bad input: surface the exception itself (API contract with
-                // detect_image) rather than a kFailed status.
-                job.promise.set_exception(std::current_exception());
-                job.resolved = true;
-                finish_one();
-            } catch (const std::exception& e) {
-                r.status = ServeStatus::kFailed;
-                r.frame.detections.clear();
-                r.error = e.what();
-                stats_.record_failed();
-                note_frame_failure();
-                resolve(job, std::move(r));
-            }
+    if (n > 1) {
+        try {
+            dets = detect_images_timed(net, frames, config_.pipeline.eval, &stages);
+            stats_.record_batch(n);
+        } catch (const fault::WorkerKillFault&) {
+            throw;  // worker_loop fails the held jobs and marks the slot dead
+        } catch (...) {
+            // Every frame runs alone below.
         }
-        return;
     }
-
     const double share = 1.0 / static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i) {
+        Job& job = jobs[i];
         ServeResult r;
-        r.status = ServeStatus::kOk;
-        r.frame.frame_index = jobs[i].frame_index;
-        r.timings.queue_wait_ms = std::chrono::duration<double, std::milli>(
-                                      popped - jobs[i].submit_time)
-                                      .count();
-        r.timings.preprocess_ms = stages.preprocess_ms * share;
-        r.timings.forward_ms = stages.forward_ms * share;
-        r.timings.postprocess_ms = stages.postprocess_ms * share;
-        r.frame.detections = std::move(dets[i]);
-        if (config_.pipeline.altitude_filter_enabled) {
-            const auto t0 = std::chrono::steady_clock::now();
-            r.frame.detections =
-                altitude_filter_.apply(r.frame.detections, config_.pipeline.altitude_m);
-            r.timings.postprocess_ms += ms_since(t0);
+        std::exception_ptr bad_input;
+        try {
+            DetectStageTimings t{stages.preprocess_ms * share, stages.forward_ms * share,
+                                 stages.postprocess_ms * share};
+            if (dets.empty()) {
+                r.frame.detections = detect_with_retry(net, frames[i], job, &t);
+                stats_.record_batch(1);
+            } else {
+                r.frame.detections = std::move(dets[i]);
+            }
+            if (config_.pipeline.altitude_filter_enabled) {
+                const auto t0 = std::chrono::steady_clock::now();
+                r.frame.detections = altitude_filter_.apply(
+                    r.frame.detections, config_.pipeline.altitude_m);
+                t.postprocess_ms += ms_since(t0);
+            }
+            r.timings = {.queue_wait_ms = std::chrono::duration<double, std::milli>(
+                                              popped - job.submit_time)
+                                              .count(),
+                         .preprocess_ms = t.preprocess_ms,
+                         .forward_ms = t.forward_ms,
+                         .postprocess_ms = t.postprocess_ms};
+            r.frame.latency_ms = r.timings.total_ms();
+            if (degraded) stats_.record_degraded(1);
+            note_frame_success();
+        } catch (const DeadlineExpired&) {
+            r = empty_result(ServeStatus::kTimeout, "deadline expired during retry");
+        } catch (const fault::WorkerKillFault&) {
+            throw;  // worker_loop fails this and the remaining jobs
+        } catch (const std::logic_error&) {
+            // Bad input: surface the exception itself (API contract with
+            // detect_image) rather than a kFailed status.
+            bad_input = std::current_exception();
+        } catch (const std::exception& e) {
+            r = empty_result(ServeStatus::kFailed, e.what());
+            note_frame_failure();
         }
-        r.frame.latency_ms = r.timings.total_ms();
-        stats_.record_completed(r.timings);
-        resolve(jobs[i], std::move(r));
+        finish(job, std::move(r), std::move(bad_input));
     }
-    if (degraded) stats_.record_degraded(n);
-    note_frame_success();
 }
 
 bool DetectionService::breaker_allows() {
@@ -691,14 +646,6 @@ ServeStatsSnapshot DetectionService::stats() const {
     return s;
 }
 
-void DetectionService::finish_one() {
-    {
-        sync::MutexLock lock(inflight_mu_);
-        ++resolved_;
-    }
-    inflight_cv_.notify_all();
-}
-
 void DetectionService::drain() {
     sync::MutexLock lock(inflight_mu_);
     while (resolved_ < accepted_) inflight_cv_.wait(inflight_mu_);
@@ -727,12 +674,8 @@ void DetectionService::stop() {
     // resolve every one with a shutdown error so no future blocks forever.
     Job job;
     while (queue_.try_pop(job)) {
-        ServeResult r;
-        r.status = ServeStatus::kShutdown;
-        r.frame.frame_index = job.frame_index;
-        r.error = "service stopped before the frame was processed";
-        stats_.record_rejected();
-        resolve(job, std::move(r));
+        finish(job, empty_result(ServeStatus::kShutdown,
+                                 "service stopped before the frame was processed"));
     }
 }
 

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -182,9 +183,9 @@ class DetectionService {
     /// status for shed frames).
     [[nodiscard]] std::future<ServeResult> submit(Image frame);
 
-    /// Blocks until every accepted frame has resolved (completed, timed out,
-    /// failed, dropped, or swept at shutdown). Producers should be quiescent
-    /// while draining.
+    /// Blocks until every submitted frame has resolved (completed, shed,
+    /// timed out, failed, or swept at shutdown) and is counted in stats().
+    /// Producers should be quiescent while draining.
     void drain();
 
     /// Closes the queue, joins watchdog and workers, then resolves any frame
@@ -270,13 +271,15 @@ class DetectionService {
     void process_batch(Network& net, std::vector<Job>& jobs, bool degraded);
     Detections detect_with_retry(Network& net, const Image& frame, const Job& job,
                                  DetectStageTimings* timings);
-    void resolve(Job& job, ServeResult r);
+    /// The one exit of a frame (see the definition); every outcome counter
+    /// and every promise of a Job is touched only here.
+    void finish(Job& job, ServeResult r, std::exception_ptr bad_input = nullptr)
+        EXCLUDES(inflight_mu_);
     void expire_overdue(std::vector<Job>& jobs);
     void apply_degrade_mode(Network& net, bool& degraded_now);
     [[nodiscard]] bool breaker_allows() EXCLUDES(breaker_mu_);
     void note_frame_failure() EXCLUDES(breaker_mu_);
     void note_frame_success() EXCLUDES(breaker_mu_);
-    void finish_one() EXCLUDES(inflight_mu_);
 
     /// Builds one complete model generation (replicas at `precision` +
     /// degrade warm-up, mirroring construction) from the fp32 `candidate`,
@@ -322,7 +325,7 @@ class DetectionService {
     mutable sync::Mutex breaker_mu_{"DetectionService::breaker_mu"};
     Breaker breaker_ GUARDED_BY(breaker_mu_);
 
-    // drain() bookkeeping: frames accepted into the queue vs. resolved.
+    // drain() bookkeeping: frames submitted vs. resolved through finish().
     mutable sync::Mutex inflight_mu_{"DetectionService::inflight_mu"};
     sync::CondVar inflight_cv_;
     std::uint64_t accepted_ GUARDED_BY(inflight_mu_) = 0;

@@ -70,11 +70,10 @@ struct ServeStatsSnapshot {
     std::uint64_t completed = 0;
     std::uint64_t dropped = 0;   ///< evicted by kDropOldest
     std::uint64_t rejected = 0;  ///< refused by kReject, closed queue, open breaker, shutdown sweep
-    std::uint64_t batches = 0;   ///< forward passes executed by workers
-    // Self-healing counters (docs/robustness.md). An accounting invariant the
-    // chaos tests assert: submitted == completed + dropped + rejected +
-    // failed + deadline_expired once the service is drained.
-    std::uint64_t failed = 0;            ///< frames whose forward failed after all retries
+    std::uint64_t batches = 0;   ///< forward passes that returned detections
+    // Self-healing counters (docs/robustness.md). Once the service is
+    // drained, accounting_ok() holds.
+    std::uint64_t failed = 0;            ///< failed forwards, killed workers, bad input
     std::uint64_t retries = 0;           ///< transient-fault retry attempts
     std::uint64_t deadline_expired = 0;  ///< frames resolved kTimeout past their deadline
     std::uint64_t worker_restarts = 0;   ///< dead workers respawned by the watchdog
@@ -94,7 +93,7 @@ struct ServeStatsSnapshot {
     // the cluster router's least-loaded dispatch and the fleet-aggregated
     // JSON (docs/serving.md).
     std::uint64_t queue_depth = 0;  ///< frames waiting in the service queue now
-    std::uint64_t in_flight = 0;    ///< frames accepted but not yet resolved
+    std::uint64_t in_flight = 0;    ///< frames submitted but not yet resolved
     std::uint64_t uptime_ms = 0;    ///< since service construction
     /// Per-batch-size histogram: (size, count) for every size that occurred,
     /// ascending. completed == sum(size * count) once the service is drained.
@@ -107,6 +106,11 @@ struct ServeStatsSnapshot {
     StageSummary postprocess;
     StageSummary total;
 
+    /// The accounting identity: every submitted frame landed in exactly one
+    /// outcome counter. Holds once the service is drained.
+    [[nodiscard]] bool accounting_ok() const noexcept {
+        return submitted == completed + dropped + rejected + failed + deadline_expired;
+    }
     /// One-line JSON object (stable key order) for bench harnesses.
     [[nodiscard]] std::string to_json() const;
 };
@@ -118,8 +122,8 @@ class ServeStats {
     void record_rejected() noexcept;
     void record_dropped() noexcept;
     void record_completed(const FrameTimings& timings) noexcept;
-    /// Records one worker forward pass covering `size` frames. Sizes beyond
-    /// kMaxTrackedBatch are clamped into the last bucket.
+    /// Records one worker forward pass that returned detections for `size`
+    /// frames. Sizes beyond kMaxTrackedBatch are clamped into the last bucket.
     void record_batch(std::size_t size) noexcept;
     // Self-healing events (see ServeStatsSnapshot field docs).
     void record_failed() noexcept;

@@ -56,9 +56,7 @@ ServeResult get_or_die(std::future<ServeResult>& f) {
 /// The service-wide accounting invariant: once drained, every submitted frame
 /// landed in exactly one terminal bucket.
 void expect_accounting(const ServeStatsSnapshot& s) {
-    EXPECT_EQ(s.submitted,
-              s.completed + s.dropped + s.rejected + s.failed + s.deadline_expired)
-        << s.to_json();
+    EXPECT_TRUE(s.accounting_ok()) << s.to_json();
 }
 
 /// Extracts an integer counter from the stats JSON (proves the counters are
@@ -130,8 +128,8 @@ TEST(Chaos, TransientForwardFaultIsRetriedToSuccess) {
         generate_dataset(benchmark_scene_config(96), 3, /*seed=*/7);
 
     {
-        // Fires on the first two forward calls: the batch attempt and the
-        // first solo retry both fail, the second retry succeeds.
+        // Fires on the first two forward calls: the first frame's first
+        // attempt and first retry both fail, the second retry succeeds.
         fault::ScopedFaultPlan plan("network.forward:throw:every=1:times=2");
         std::vector<std::future<ServeResult>> futures;
         for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -148,6 +146,36 @@ TEST(Chaos, TransientForwardFaultIsRetriedToSuccess) {
     expect_accounting(snap);
     EXPECT_GE(json_counter(snap.to_json(), "retries"), 1u);
     service.stop();
+}
+
+// max_retries counts every forward after the first, a lone frame's too: one
+// fault more than the budget fails the frame, and nothing re-runs it.
+TEST(Chaos, LoneFrameGetsExactlyTheRetryBudget) {
+    if (!fault::compiled_in()) GTEST_SKIP() << "DRONET_FAULTS is off";
+    Network net = build_model(ModelId::kDroNet, {.input_size = 96, .filter_scale = 0.35f});
+    const DetectionDataset frames =
+        generate_dataset(benchmark_scene_config(96), 1, /*seed=*/7);
+    for (const int max_retries : {0, 1}) {
+        serve::ServiceConfig sc;
+        sc.workers = 1;
+        sc.max_retries = max_retries;
+        sc.retry_backoff_ms = 1;
+        sc.pipeline = low_threshold_pipeline();
+        DetectionService service(net, sc);
+        {
+            fault::ScopedFaultPlan plan("network.forward:throw:times=" +
+                                        std::to_string(max_retries + 1));
+            auto f = service.submit(frames.image(0));
+            EXPECT_EQ(get_or_die(f).status, ServeStatus::kFailed)
+                << "max_retries " << max_retries;
+        }
+        service.drain();
+        const ServeStatsSnapshot snap = service.stats();
+        EXPECT_EQ(snap.failed, 1u);
+        EXPECT_EQ(snap.retries, static_cast<std::uint64_t>(max_retries));
+        EXPECT_EQ(snap.batches, 0u);
+        expect_accounting(snap);
+    }
 }
 
 TEST(Chaos, ExpiredDeadlinesResolveTimeoutNotBlock) {
@@ -288,12 +316,12 @@ TEST(Chaos, SuccessWhileBreakerOpenDoesNotSkipHalfOpen) {
         generate_dataset(benchmark_scene_config(96), 3, /*seed=*/7);
 
     {
-        // f0 and f1 each fail twice (batch forward, then the solo retry) and
-        // open the breaker. The 50 ms stall on a worker pop lets all three
-        // frames queue before it opens, so f2 is forwarded, and succeeds,
-        // while it is open.
+        // f0 and f1 each fail their one forward (no retries) and open the
+        // breaker. The 50 ms stall on a worker pop lets all three frames
+        // queue before it opens, so f2 is forwarded, and succeeds, while it
+        // is open.
         fault::ScopedFaultPlan plan(
-            "queue.pop:latency:latency=50:nth=1;network.forward:throw:times=4");
+            "queue.pop:latency:latency=50:nth=1;network.forward:throw:times=2");
         auto f0 = service.submit(frames.image(0));
         auto f1 = service.submit(frames.image(1));
         auto f2 = service.submit(frames.image(2));

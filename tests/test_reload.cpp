@@ -259,8 +259,8 @@ TEST(Reload, ProbationWindowAutoRollsBackOnFrameFailure) {
 
     {
         // One failed frame inside the probation window: the new model is
-        // deemed bad and the service rolls itself back. times=2 covers both
-        // the batch attempt and the automatic solo retry of the frame.
+        // deemed bad and the service rolls itself back. The frame's one
+        // forward fails (no retries), so the second fire goes unused.
         fault::ScopedFaultPlan plan("network.forward:throw:every=1:times=2");
         auto fut = service.submit(frames.image(1));
         EXPECT_EQ(fut.get().status, ServeStatus::kFailed);

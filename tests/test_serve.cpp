@@ -639,6 +639,17 @@ TEST(DetectionService, BadFrameInBatchFailsOnlyItsOwnFuture) {
         const ServeResult r = f.get();
         EXPECT_EQ(r.status, ServeStatus::kOk);
     }
+    // The bad frame counts as failed, and the failed batch forward counts as
+    // no batch: both identities hold once drained.
+    const serve::ServeStatsSnapshot snap = service.stats();
+    EXPECT_EQ(snap.failed, 1u) << snap.to_json();
+    EXPECT_EQ(snap.completed, good.size());
+    EXPECT_TRUE(snap.accounting_ok()) << snap.to_json();
+    std::uint64_t frames_in_batches = 0;
+    for (const auto& [size, count] : snap.batch_sizes) {
+        frames_in_batches += static_cast<std::uint64_t>(size) * count;
+    }
+    EXPECT_EQ(frames_in_batches, snap.completed) << snap.to_json();
 }
 
 TEST(DetectionService, RejectsInvalidBatchConfig) {

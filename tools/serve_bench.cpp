@@ -32,8 +32,9 @@
 // installs a deterministic fault plan ("site:action[:key=value]*", e.g.
 // "network.forward:kill:nth=5:times=1") before the service starts — the CI
 // chaos stage uses it to drive a worker kill through a live bench run. The
-// run exits zero as long as every future resolved; pair with the stats JSON
-// (worker_restarts, deadline_expired, ...) to assert recovery.
+// run exits zero as long as every future resolved and, once drained, the
+// accounting identity holds (ServeStatsSnapshot::accounting_ok); pair with
+// the stats JSON (worker_restarts, deadline_expired, ...) to assert recovery.
 //
 // --cluster W switches to the multi-process path: the same stream workload
 // drives a cluster Router over W spawned serve_worker processes (--workers
@@ -475,6 +476,10 @@ int run(int argc, char** argv) {
                          args.reload_expect_reject ? "reject" : "commit");
             return 1;
         }
+    }
+    if (!snap.accounting_ok()) {
+        std::fprintf(stderr, "# FAIL: service accounting invariant violated\n");
+        return 1;
     }
     if (args.expect_complete &&
         (snap.dropped != 0 || snap.rejected != 0 || snap.completed != snap.submitted)) {
