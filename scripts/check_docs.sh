@@ -4,7 +4,9 @@
 #     that does not exist (resolved against the linking file's directory), or
 #   * a docs/*.md file is not linked from the docs/README.md index, or
 #   * a docs/api_overview.md table row names a symbol that none of the
-#     headers in its second column contains.
+#     headers in its second column contains, or
+#   * a `| Knob |` table in docs/*.md names a knob that is not a field of
+#     ServiceConfig or RouterConfig.
 # External links (http/https/mailto) and pure #anchors are not checked.
 # Run from anywhere: scripts/check_docs.sh
 set -euo pipefail
@@ -86,8 +88,27 @@ while IFS= read -r row; do
   done <<< "$names"
 done < <(grep -E '^\| `' docs/api_overview.md)
 
+# Every knob a `| Knob |` table names must be a config field: each
+# backticked name in the first column must be declared in the body of
+# ServiceConfig or RouterConfig, so a deleted knob cannot linger in a table.
+config_bodies="$(awk '/^struct (ServiceConfig|RouterConfig) \{/ { body = 1 }
+                      body; /^\};/ { body = 0 }' \
+                   src/serve/detection_service.hpp src/cluster/router.hpp)"
+while IFS='|' read -r doc knob_cell; do
+  knobs="$(grep -oE '`[^`]+`' <<< "$knob_cell" | tr -d '`')" || true
+  while IFS= read -r knob; do
+    [[ -z "$knob" ]] && continue
+    if ! grep -qE "^ +[^ /][^=;]* $knob( = [^;]*)?;" <<< "$config_bodies"; then
+      echo "UNKNOWN KNOB: $doc names $knob, not a field of ServiceConfig or RouterConfig"
+      fail=1
+    fi
+  done <<< "$knobs"
+done < <(awk -F'|' '/^\| Knob \|/ { table = 1; next }
+                    table && !/^\|/ { table = 0 }
+                    table { print FILENAME "|" $2 }' docs/*.md)
+
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: all links resolve, all docs indexed, all API rows found"
+echo "check_docs: all links resolve, all docs indexed, all API rows and knobs found"

@@ -101,7 +101,7 @@ ctest --test-dir build-tsan -L cluster-inproc --output-on-failure 2>&1 \
   | tee tsan_serve_bench_output.txt
 
 # Chaos stage under TSan: deterministic fault injection through the live
-# service (watchdog respawn, retries, breaker, deadlines, degradation,
+# service (in-place worker restart, retries, breaker, deadlines, degradation,
 # crash-safe checkpointing — tests/test_chaos.cpp), then a fault-injected
 # serve_bench run: a worker-killing forward fault plus per-frame deadlines
 # must still resolve every future (no --expect-complete: the killed frame is

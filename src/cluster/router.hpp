@@ -14,8 +14,7 @@
 //    serve::Breaker per worker, the breaker the in-process service runs:
 //    `eject_threshold` consecutive failures eject a worker, after
 //    `readmit_ms` it half-opens and an answered trial ping re-admits it, and
-//    dead spawned workers are reaped and respawned like the in-process
-//    watchdog respawns threads;
+//    dead spawned workers are reaped and respawned;
 //  * guarantees the PR-5 accounting invariant fleet-wide: every accepted
 //    future resolves. Frames in flight on a worker that dies or is ejected
 //    are re-dispatched to a healthy worker (up to `max_retries`) or resolved

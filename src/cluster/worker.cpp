@@ -86,7 +86,7 @@ void WorkerServer::start_reload(std::uint64_t request_id, bool rollback,
 void WorkerServer::resolver_loop() {
     while (auto pending = pending_.pop()) {
         // The service contract: every submitted future resolves (success,
-        // timeout, failure, or shutdown sweep) — this wait never hangs.
+        // shed, timeout, or failure) — this wait never hangs.
         if (peer_gone_.load(std::memory_order_acquire)) {
             pending->result.wait();
             continue;

@@ -66,7 +66,7 @@ class FaultInjected : public std::runtime_error {
 
 /// Worker-killing injected failure. Deliberately NOT a std::runtime_error:
 /// the serving layer's retry logic treats it as unrecoverable, so it escapes
-/// the worker loop and exercises the watchdog respawn path.
+/// the batch and exercises the worker loop's in-place restart.
 class WorkerKillFault : public std::exception {
   public:
     explicit WorkerKillFault(std::string message) : message_(std::move(message)) {}

@@ -18,8 +18,7 @@ constexpr std::int32_t kRevision = 0;
 
 // Checkpoints go through the shared EINTR-safe helpers (io/fdio.hpp) — the
 // same single definition the cluster wire protocol uses — so a signal landing
-// mid-transfer (watchdog respawns, chaos tests) can never shear a read or
-// write in two.
+// mid-transfer can never shear a read or write in two.
 
 void write_floats(int fd, const std::vector<float>& v) {
     io::write_full(fd, v.data(), v.size() * sizeof(float));

@@ -128,17 +128,6 @@ class BoundedQueue {
         return taken;
     }
 
-    /// Non-blocking pop; false when empty (regardless of closed state).
-    bool try_pop(T& out) EXCLUDES(mu_) {
-        sync::MutexLock lock(mu_);
-        if (items_.empty()) return false;
-        out = std::move(items_.front());
-        items_.pop_front();
-        lock.unlock();
-        not_full_.notify_one();
-        return true;
-    }
-
     /// Closes the queue: subsequent pushes fail with kClosed, blocked
     /// producers and consumers wake up. Items already queued remain poppable.
     void close() EXCLUDES(mu_) {
@@ -150,18 +139,10 @@ class BoundedQueue {
         not_full_.notify_all();
     }
 
-    [[nodiscard]] bool closed() const EXCLUDES(mu_) {
-        sync::MutexLock lock(mu_);
-        return closed_;
-    }
-
     [[nodiscard]] std::size_t size() const EXCLUDES(mu_) {
         sync::MutexLock lock(mu_);
         return items_.size();
     }
-
-    [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-    [[nodiscard]] BackpressurePolicy policy() const noexcept { return policy_; }
 
   private:
     /// Moves up to `max_items - taken` queued items into `out`.

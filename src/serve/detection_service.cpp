@@ -55,8 +55,7 @@ DetectionService::DetectionService(const Network& prototype, ServiceConfig confi
         throw std::invalid_argument("DetectionService: batch_timeout_us must be >= 0");
     }
     if (config_.deadline_ms < 0 || config_.max_retries < 0 ||
-        config_.retry_backoff_ms < 0 || config_.breaker_threshold < 0 ||
-        config_.watchdog_interval_ms <= 0) {
+        config_.retry_backoff_ms < 0 || config_.breaker_threshold < 0) {
         throw std::invalid_argument("DetectionService: negative self-healing knob");
     }
     if (config_.breaker_threshold > 0 && config_.breaker_open_ms <= 0) {
@@ -94,16 +93,10 @@ DetectionService::DetectionService(const Network& prototype, ServiceConfig confi
         sync::MutexLock lock(model_mu_);
         live_set_ = std::move(set);
     }
-    slots_.reserve(static_cast<std::size_t>(config_.workers));
+    workers_.reserve(static_cast<std::size_t>(config_.workers));
     for (int i = 0; i < config_.workers; ++i) {
-        slots_.push_back(std::make_unique<WorkerSlot>());
-    }
-    for (int i = 0; i < config_.workers; ++i) {
-        slots_[static_cast<std::size_t>(i)]->thread = std::thread(
-            &DetectionService::worker_loop, this, static_cast<std::size_t>(i));
-    }
-    if (config_.watchdog) {
-        watchdog_ = std::thread(&DetectionService::watchdog_loop, this);
+        workers_.emplace_back(&DetectionService::worker_loop, this,
+                              static_cast<std::size_t>(i));
     }
 }
 
@@ -267,75 +260,45 @@ void DetectionService::apply_degrade_mode(Network& net, bool& degraded_now) {
     }
 }
 
+// Serves batches until the queue is closed and drained. A fault that escapes
+// a batch (e.g. an injected worker kill) is one failure for the breaker and
+// probation; the frames the worker still holds fail, so no future is
+// abandoned, and the loop restarts on the same replica.
 void DetectionService::worker_loop(std::size_t worker_id) {
-    WorkerSlot& slot = *slots_[worker_id];
     const auto max_batch = static_cast<std::size_t>(config_.max_batch);
     const std::chrono::microseconds linger(config_.batch_timeout_us);
     std::vector<Job> jobs;
-    try {
-        while (true) {
-            jobs.clear();
-            if (queue_.pop_batch(jobs, max_batch, linger) == 0) {
-                slot.state.store(WorkerSlot::kFinished, std::memory_order_release);
-                return;  // queue closed and drained
+    for (;;) {
+        std::string what;
+        try {
+            while (true) {
+                jobs.clear();
+                if (queue_.pop_batch(jobs, max_batch, linger) == 0) return;
+                expire_overdue(jobs);
+                if (jobs.empty()) continue;
+                // Re-fetch the live generation per batch: this is the hot-swap
+                // commit point. The shared_ptr pins the set for the whole
+                // batch, so a concurrent swap never pulls the replica out from
+                // under an in-flight forward, and the old generation is freed
+                // once the last worker moves on.
+                const std::shared_ptr<const ModelSet> set = current_set();
+                Network& net = *set->replicas[worker_id];
+                bool degraded_now = false;
+                apply_degrade_mode(net, degraded_now);
+                process_batch(net, jobs, degraded_now);
             }
-            expire_overdue(jobs);
-            if (jobs.empty()) continue;
-            // Re-fetch the live generation per batch: this is the hot-swap
-            // commit point. The shared_ptr pins the set for the whole batch,
-            // so a concurrent swap never pulls the replica out from under an
-            // in-flight forward, and the old generation is freed once the
-            // last worker moves on.
-            const std::shared_ptr<const ModelSet> set = current_set();
-            Network& net = *set->replicas[worker_id];
-            bool degraded_now = false;
-            apply_degrade_mode(net, degraded_now);
-            process_batch(net, jobs, degraded_now);
+        } catch (const std::exception& e) {
+            what = e.what();
+        } catch (...) {
+            what = "unknown exception";
         }
-    } catch (const std::exception& e) {
-        on_worker_death(slot, jobs, e.what());
-    } catch (...) {
-        on_worker_death(slot, jobs, "unknown exception");
-    }
-}
-
-// Unrecoverable fault (e.g. an injected worker-kill): fail whatever the
-// worker still holds so no future is abandoned, then mark the slot dead for
-// the watchdog to respawn.
-void DetectionService::on_worker_death(WorkerSlot& slot, std::vector<Job>& jobs,
-                                       const char* what) {
-    note_frame_failure();
-    for (Job& job : jobs) {
-        if (job.resolved) continue;
-        finish(job,
-               empty_result(ServeStatus::kFailed, std::string("worker died: ") + what));
-    }
-    slot.state.store(WorkerSlot::kDead, std::memory_order_release);
-}
-
-void DetectionService::watchdog_loop() {
-    sync::MutexLock lock(watchdog_mu_);
-    while (!stopping_) {
-        watchdog_cv_.wait_for(
-            watchdog_mu_,
-            std::chrono::milliseconds(config_.watchdog_interval_ms));
-        if (stopping_) return;
-        lock.unlock();
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            WorkerSlot& slot = *slots_[i];
-            if (slot.state.load(std::memory_order_acquire) != WorkerSlot::kDead) {
-                continue;
+        note_frame_failure();
+        for (Job& job : jobs) {
+            if (!job.resolved) {
+                finish(job, empty_result(ServeStatus::kFailed, "worker died: " + what));
             }
-            {
-                sync::MutexLock tl(threads_mu_);
-                if (slot.thread.joinable()) slot.thread.join();
-                slot.state.store(WorkerSlot::kRunning, std::memory_order_release);
-                slot.thread =
-                    std::thread(&DetectionService::worker_loop, this, i);
-            }
-            stats_.record_worker_restart();
         }
-        lock.lock();
+        stats_.record_worker_restart();
     }
 }
 
@@ -351,7 +314,7 @@ Detections DetectionService::detect_with_retry(Network& net, const Image& frame,
         try {
             return detect_image_timed(net, frame, config_.pipeline.eval, timings);
         } catch (const fault::WorkerKillFault&) {
-            throw;  // unrecoverable: escalate to the worker loop / watchdog
+            throw;  // unrecoverable: escalate to the worker loop
         } catch (const std::logic_error&) {
             throw;  // bad input (invalid_argument & co): retrying cannot help
         } catch (const std::exception&) {
@@ -387,7 +350,7 @@ void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
             dets = detect_images_timed(net, frames, config_.pipeline.eval, &stages);
             stats_.record_batch(n);
         } catch (const fault::WorkerKillFault&) {
-            throw;  // worker_loop fails the held jobs and marks the slot dead
+            throw;  // worker_loop fails the held jobs and restarts
         } catch (...) {
             // Every frame runs alone below.
         }
@@ -638,10 +601,10 @@ ServeStatsSnapshot DetectionService::stats() const {
     }
     s.model_version = model_version();
     s.queue_depth = queue_.size();
-    {
-        sync::MutexLock lock(inflight_mu_);
-        s.in_flight = accepted_ - resolved_;
-    }
+    // From the one snapshot, so in_flight is 0 exactly when accounting_ok():
+    // finish() counts a frame before its future is ready.
+    s.in_flight = s.submitted - (s.completed + s.dropped + s.rejected + s.failed +
+                                 s.deadline_expired);
     s.uptime_ms = static_cast<std::uint64_t>(ms_since(started_at_));
     return s;
 }
@@ -651,31 +614,16 @@ void DetectionService::drain() {
     while (resolved_ < accepted_) inflight_cv_.wait(inflight_mu_);
 }
 
+// Workers return only once the closed queue is drained, and a closed queue
+// takes no more frames, so every frame has resolved after the joins.
 void DetectionService::stop() {
     stopped_.store(true, std::memory_order_release);
     queue_.close();
     // Serialize joins so stop() is safe to call from several threads (and
     // again from the destructor).
     sync::MutexLock lock(stop_mu_);
-    {
-        sync::MutexLock wl(watchdog_mu_);
-        stopping_ = true;
-    }
-    watchdog_cv_.notify_all();
-    if (watchdog_.joinable()) watchdog_.join();
-    {
-        sync::MutexLock tl(threads_mu_);
-        for (auto& slot : slots_) {
-            if (slot->thread.joinable()) slot->thread.join();
-        }
-    }
-    // Workers normally drain the queue before exiting, but if they died (and
-    // the watchdog was off or already stopped) frames may still be queued:
-    // resolve every one with a shutdown error so no future blocks forever.
-    Job job;
-    while (queue_.try_pop(job)) {
-        finish(job, empty_result(ServeStatus::kShutdown,
-                                 "service stopped before the frame was processed"));
+    for (std::thread& worker : workers_) {
+        if (worker.joinable()) worker.join();
     }
 }
 

@@ -11,11 +11,12 @@
 //
 // The service is self-healing (docs/robustness.md): per-frame deadlines
 // resolve late frames with kTimeout instead of occupying a worker, transient
-// forward faults are retried with exponential backoff, a watchdog respawns
-// workers killed by unrecoverable faults, a circuit breaker sheds load after
-// consecutive failures, and under queue-depth overload workers degrade to a
-// smaller pre-reserved input size, recovering when the backlog clears. Every
-// submitted future always resolves — success, timeout, failure, or shutdown.
+// forward faults are retried with exponential backoff, a worker hit by an
+// unrecoverable fault fails the frames it holds and restarts its loop on the
+// same replica, a circuit breaker sheds load after consecutive failures, and
+// under queue-depth overload workers degrade to a smaller pre-reserved input
+// size, recovering when the backlog clears. Every submitted future always
+// resolves — success, drop, rejection, timeout, or failure.
 //
 //   DetectionService service(net, {.workers = 4});
 //   auto f = service.submit(frame);          // non-blocking (policy-dependent)
@@ -50,7 +51,7 @@ enum class ServeStatus {
     kRejected,  ///< refused at submit (kReject policy full, breaker open, or stopped)
     kTimeout,   ///< deadline expired before a worker could process the frame
     kFailed,    ///< forward pass failed after all configured retries
-    kShutdown,  ///< still queued when the service stopped
+    kShutdown,  ///< router only: fleet stopped, or worker lost with no retry left
 };
 
 [[nodiscard]] constexpr const char* to_string(ServeStatus s) noexcept {
@@ -124,12 +125,6 @@ struct ServiceConfig {
     /// identical weights, so activation ranges — and therefore detections —
     /// are identical across replicas and batch sizes).
     Precision precision = Precision::kF32;
-    /// Supervisor thread that respawns dead workers (replica preserved) and
-    /// counts the restart in ServeStats. Leave on unless the process manages
-    /// worker death externally.
-    bool watchdog = true;
-    std::int64_t watchdog_interval_ms = 10;
-
     // --- model lifecycle knobs (docs/robustness.md, "Model lifecycle") ---
 
     /// Canary gate: maximum |candidate - live| output divergence tolerated on
@@ -184,13 +179,13 @@ class DetectionService {
     [[nodiscard]] std::future<ServeResult> submit(Image frame);
 
     /// Blocks until every submitted frame has resolved (completed, shed,
-    /// timed out, failed, or swept at shutdown) and is counted in stats().
-    /// Producers should be quiescent while draining.
+    /// timed out, or failed) and is counted in stats(). Producers should be
+    /// quiescent while draining.
     void drain();
 
-    /// Closes the queue, joins watchdog and workers, then resolves any frame
-    /// still queued with kShutdown — no future is ever left unresolved.
-    /// Subsequent submits resolve as kRejected. Idempotent.
+    /// Closes the queue and joins the workers, which serve every frame still
+    /// queued before they exit — so every future is ready when stop()
+    /// returns. Subsequent submits resolve as kRejected. Idempotent.
     void stop();
 
     /// Snapshot of the service counters. breaker_open_ms includes the
@@ -245,14 +240,6 @@ class DetectionService {
         bool resolved = false;  ///< promise already fulfilled (worker-local)
     };
 
-    /// One worker's supervision slot; the thread object is guarded by
-    /// threads_mu_ (watchdog respawn vs. stop() join).
-    struct WorkerSlot {
-        std::thread thread;
-        enum State { kRunning = 0, kFinished = 1, kDead = 2 };
-        std::atomic<int> state{kRunning};
-    };
-
     /// One versioned generation of the serving model: per-worker replicas at
     /// `precision` and an fp32 `reference` network workers never touch — the
     /// canary baseline and the architecture source for the next candidate.
@@ -266,8 +253,6 @@ class DetectionService {
     };
 
     void worker_loop(std::size_t worker_id);
-    void on_worker_death(WorkerSlot& slot, std::vector<Job>& jobs, const char* what);
-    void watchdog_loop();
     void process_batch(Network& net, std::vector<Job>& jobs, bool degraded);
     Detections detect_with_retry(Network& net, const Image& frame, const Job& job,
                                  DetectStageTimings* timings);
@@ -301,24 +286,12 @@ class DetectionService {
     AltitudeFilter altitude_filter_;
     BoundedQueue<Job> queue_;
     ServeStats stats_;
-    std::vector<std::unique_ptr<WorkerSlot>> slots_;
     int full_size_ = 0;  ///< prototype input size (degradation restores this)
     std::chrono::steady_clock::time_point started_at_;  ///< uptime_ms gauge
 
     std::atomic<int> next_index_{0};
     std::atomic<bool> stopped_{false};
     std::atomic<bool> degraded_{false};
-    sync::Mutex stop_mu_{"DetectionService::stop_mu"};  ///< serializes stop()
-    /// Guards WorkerSlot::thread join/respawn. (The slots live behind
-    /// unique_ptrs in slots_, so the guarded data cannot carry a GUARDED_BY
-    /// referring back to this member.)
-    sync::Mutex threads_mu_{"DetectionService::threads_mu"};
-
-    // Watchdog.
-    std::thread watchdog_;
-    sync::Mutex watchdog_mu_{"DetectionService::watchdog_mu"};
-    sync::CondVar watchdog_cv_;
-    bool stopping_ GUARDED_BY(watchdog_mu_) = false;
 
     // Circuit breaker (mutable so stats() can fold the live open interval
     // into the snapshot).
@@ -326,7 +299,7 @@ class DetectionService {
     Breaker breaker_ GUARDED_BY(breaker_mu_);
 
     // drain() bookkeeping: frames submitted vs. resolved through finish().
-    mutable sync::Mutex inflight_mu_{"DetectionService::inflight_mu"};
+    sync::Mutex inflight_mu_{"DetectionService::inflight_mu"};
     sync::CondVar inflight_cv_;
     std::uint64_t accepted_ GUARDED_BY(inflight_mu_) = 0;
     std::uint64_t resolved_ GUARDED_BY(inflight_mu_) = 0;
@@ -345,6 +318,11 @@ class DetectionService {
     /// Probation window end (steady-clock ns since epoch); 0 = no window.
     std::atomic<std::int64_t> probation_deadline_ns_{0};
     std::atomic<int> probation_failures_{0};
+
+    // Declared last, after everything the workers use.
+    sync::Mutex stop_mu_{"DetectionService::stop_mu"};  ///< serializes stop()
+    /// Started by the constructor; joined only by stop().
+    std::vector<std::thread> workers_ GUARDED_BY(stop_mu_);
 };
 
 }  // namespace dronet::serve

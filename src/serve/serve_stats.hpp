@@ -69,14 +69,14 @@ struct ServeStatsSnapshot {
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     std::uint64_t dropped = 0;   ///< evicted by kDropOldest
-    std::uint64_t rejected = 0;  ///< refused by kReject, closed queue, open breaker, shutdown sweep
+    std::uint64_t rejected = 0;  ///< refused at submit: kReject full, open breaker, stopped service
     std::uint64_t batches = 0;   ///< forward passes that returned detections
     // Self-healing counters (docs/robustness.md). Once the service is
     // drained, accounting_ok() holds.
     std::uint64_t failed = 0;            ///< failed forwards, killed workers, bad input
     std::uint64_t retries = 0;           ///< transient-fault retry attempts
     std::uint64_t deadline_expired = 0;  ///< frames resolved kTimeout past their deadline
-    std::uint64_t worker_restarts = 0;   ///< dead workers respawned by the watchdog
+    std::uint64_t worker_restarts = 0;   ///< worker loops restarted after an escaped fault
     std::uint64_t degraded_frames = 0;   ///< frames served at the fallback input size
     std::uint64_t degrade_transitions = 0;  ///< full<->degraded mode flips
     std::uint64_t breaker_opens = 0;        ///< circuit-breaker open transitions

@@ -95,7 +95,7 @@ TEST(ClusterChaos, WorkerKillMidLoadResolvesEveryFuture) {
     EXPECT_EQ(fs.submitted, static_cast<std::uint64_t>(kTotal));
     EXPECT_GE(fs.worker_deaths, 1u);
 
-    // The watchdog must respawn the killed worker and restore capacity.
+    // The router must respawn the killed worker process and restore capacity.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
     while (router.alive_workers() < 2 &&
            std::chrono::steady_clock::now() < deadline) {

@@ -46,8 +46,7 @@ TEST(BoundedQueue, FifoSingleThread) {
     EXPECT_EQ(q.size(), 2u);
     EXPECT_EQ(q.pop(), 1);
     EXPECT_EQ(q.pop(), 2);
-    int out = 0;
-    EXPECT_FALSE(q.try_pop(out));
+    EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(BoundedQueue, MultiProducerMultiConsumerDeliversEachItemOnce) {
@@ -722,6 +721,8 @@ TEST(DetectionService, LiveGaugesTrackQueueInflightAndUptime) {
     std::vector<std::future<ServeResult>> futures;
     for (int i = 0; i < 4; ++i) futures.push_back(service.submit(frames.image(i)));
     for (auto& f : futures) (void)f.get();
+    // A ready future is counted: in_flight reads 0 before any drain().
+    EXPECT_EQ(service.stats().in_flight, 0u);
     service.drain();
 
     const serve::ServeStatsSnapshot after = service.stats();

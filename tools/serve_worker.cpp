@@ -18,10 +18,10 @@
 // match a single in-process service frame for frame.
 //
 // SIGTERM/SIGINT trigger a graceful drain: the handler half-closes the
-// router socket's read side, the reader loop sees clean EOF, every accepted
-// frame still resolves (the service sweep answers stragglers as kShutdown),
-// and the process exits 0 — so fleet orchestration can restart workers
-// without stranding futures or tripping non-zero-exit alarms.
+// router socket's read side, the reader loop sees clean EOF, and the
+// resolver answers every accepted frame while the service's workers serve
+// the queue; then the process exits 0 — so fleet orchestration can restart
+// workers without stranding futures or tripping non-zero-exit alarms.
 #include <signal.h>
 #include <sys/socket.h>
 
