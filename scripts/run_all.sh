@@ -76,20 +76,26 @@ cmake --build build-sync
 ctest --test-dir build-sync -L "concurrency|cluster" --output-on-failure 2>&1 \
   | tee sync_output.txt
 
+# The sanitized trees below never run the `alloc-count` label
+# (tests/test_frame_allocs.cpp): it counts heap allocations through its own
+# global operator new, and a sanitizer's allocator makes those counts
+# meaningless. The plain-tree suite at the top runs it.
+sanitized=(-LE alloc-count)
+
 # ThreadSanitizer pass over the threaded code paths (bounded queue,
 # DetectionService workers, threaded GEMM): rebuild the `concurrency`-labeled
 # tests in a dedicated sanitized tree and run just that label.
 cmake -B build-tsan -G Ninja -DDRONET_SANITIZE=thread \
   -DDRONET_BUILD_BENCH=OFF -DDRONET_BUILD_EXAMPLES=OFF
 cmake --build build-tsan
-ctest --test-dir build-tsan -L concurrency --output-on-failure 2>&1 \
+ctest --test-dir build-tsan -L concurrency "${sanitized[@]}" --output-on-failure 2>&1 \
   | tee tsan_output.txt
 
 # Cluster tier under TSan: the in-process slice (router + FakeWorker sockets,
 # receiver/health/dispatch threads all in one process — the part TSan can
 # see). Spawned-worker tests stay in the ASan stage below: TSan cannot follow
 # fork/exec.
-ctest --test-dir build-tsan -L cluster-inproc --output-on-failure 2>&1 \
+ctest --test-dir build-tsan -L cluster-inproc "${sanitized[@]}" --output-on-failure 2>&1 \
   | tee tsan_cluster_output.txt
 
 # Micro-batching under TSan: drive the full service (batch collector, batched
@@ -107,7 +113,7 @@ ctest --test-dir build-tsan -L cluster-inproc --output-on-failure 2>&1 \
 # must still resolve every future (no --expect-complete: the killed frame is
 # counted `failed` by design; the run exits non-zero if any future hangs or
 # the drained stats break the accounting identity).
-ctest --test-dir build-tsan -L chaos --output-on-failure 2>&1 \
+ctest --test-dir build-tsan -L chaos "${sanitized[@]}" --output-on-failure 2>&1 \
   | tee tsan_chaos_output.txt
 ./build-tsan/tools/serve_bench --workers 2 --streams 2 --frames-per-stream 8 \
   --size 96 --deadline-ms 30000 --retries 1 \
@@ -120,7 +126,7 @@ ctest --test-dir build-tsan -L chaos --output-on-failure 2>&1 \
 # first, then a live reload-under-load through serve_bench: the pretrained
 # checkpoint hot-swaps mid-run and --expect-complete exits non-zero if any
 # future was dropped across the swap.
-ctest --test-dir build-tsan -L reload --output-on-failure 2>&1 \
+ctest --test-dir build-tsan -L reload "${sanitized[@]}" --output-on-failure 2>&1 \
   | tee tsan_reload_output.txt
 ./build-tsan/tools/serve_bench --workers 2 --streams 4 --frames-per-stream 8 \
   --size 96 --reload weights/DroNet.weights --reload-after-ms 30 \
@@ -131,33 +137,33 @@ ctest --test-dir build-tsan -L reload --output-on-failure 2>&1 \
 cmake -B build-asan -G Ninja -DDRONET_SANITIZE=address \
   -DDRONET_BUILD_BENCH=OFF -DDRONET_BUILD_EXAMPLES=OFF
 cmake --build build-asan
-ctest --test-dir build-asan --output-on-failure 2>&1 \
+ctest --test-dir build-asan "${sanitized[@]}" --output-on-failure 2>&1 \
   | tee asan_output.txt
 
 # Int8 stage under ASan: the quantized path moves through raw int8/int32
 # scratch with hand-written bounds (im2col columns, per-filter rows) — the
 # exact code ASan exists to check. The full-suite run above covers it too;
 # rerun by label so a failure is attributable at a glance.
-ctest --test-dir build-asan -L int8 --output-on-failure 2>&1 \
+ctest --test-dir build-asan -L int8 "${sanitized[@]}" --output-on-failure 2>&1 \
   | tee asan_int8_output.txt
 
 # Chaos stage under ASan: the full suite above already includes the chaos
 # label, but rerun it by name so a failure is attributable at a glance (and
 # so the label is exercised even if someone filters the suite above).
-ctest --test-dir build-asan -L chaos --output-on-failure 2>&1 \
+ctest --test-dir build-asan -L chaos "${sanitized[@]}" --output-on-failure 2>&1 \
   | tee asan_chaos_output.txt
 
 # Cluster stage under ASan: the multi-process serving tier (wire protocol,
 # router dispatch/admission/breaker, spawned serve_worker fleet) plus the
 # worker-kill chaos test. fork/exec + socket framing is exactly where ASan
 # earns its keep (fd lifetimes, buffer reassembly, stale-frame handling).
-ctest --test-dir build-asan -L cluster --output-on-failure 2>&1 \
+ctest --test-dir build-asan -L cluster "${sanitized[@]}" --output-on-failure 2>&1 \
   | tee asan_cluster_output.txt
 
 # Model lifecycle under ASan: candidate loading, canary scratch buffers, and
 # the model-set swap are allocation-heavy paths; rerun the label, then the
 # same reload-under-load drive as the TSan stage.
-ctest --test-dir build-asan -L reload --output-on-failure 2>&1 \
+ctest --test-dir build-asan -L reload "${sanitized[@]}" --output-on-failure 2>&1 \
   | tee asan_reload_output.txt
 ./build-asan/tools/serve_bench --workers 2 --streams 4 --frames-per-stream 8 \
   --size 96 --reload weights/DroNet.weights --reload-after-ms 30 \

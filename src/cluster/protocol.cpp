@@ -1,5 +1,6 @@
 #include "cluster/protocol.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -89,6 +90,60 @@ WorkerGauges take_gauges(Cursor& c) {
     return g;
 }
 
+FrameHeader header_for(Opcode opcode, std::uint64_t request_id,
+                       std::size_t payload_bytes) {
+    if (payload_bytes > kMaxPayloadBytes) {
+        throw std::runtime_error("protocol: refusing to send oversized payload");
+    }
+    FrameHeader h;
+    h.opcode = static_cast<std::uint16_t>(opcode);
+    h.request_id = request_id;
+    h.payload_bytes = static_cast<std::uint32_t>(payload_bytes);
+    return h;
+}
+
+iovec part(const void* data, std::size_t n) { return {const_cast<void*>(data), n}; }
+
+/// Reads exactly `n` payload bytes; the stream ending first is an error.
+void read_payload_bytes(int fd, void* out, std::size_t n) {
+    if (n > 0 && io::read_full(fd, out, n) != n) {
+        throw std::runtime_error("protocol: stream ended inside a frame payload");
+    }
+}
+
+/// The detect request's 8-byte geometry prefix.
+struct DetectGeometry {
+    std::uint16_t width = 0;
+    std::uint16_t height = 0;
+    std::uint16_t channels = 0;
+    std::uint16_t reserved = 0;
+};
+static_assert(sizeof(DetectGeometry) == 8, "detect geometry layout must be packed");
+
+DetectGeometry geometry_of(const Image& frame) {
+    return {static_cast<std::uint16_t>(frame.width()),
+            static_cast<std::uint16_t>(frame.height()),
+            static_cast<std::uint16_t>(frame.channels()), 0};
+}
+
+/// The one check of a detect request: what is wrong with geometry `g` on a
+/// payload of `payload_bytes` (the geometry's 8 included, so at least 8), or
+/// null when it is valid. Sizes multiply in 64 bits: no u16 triple overflows.
+const char* detect_request_error(const DetectGeometry& g, std::size_t payload_bytes) {
+    if (g.width == 0 || g.height == 0 || g.channels == 0) {
+        return "protocol: detect-request with empty geometry";
+    }
+    const std::uint64_t pixel_bytes = std::uint64_t{g.width} * g.height * g.channels *
+                                      sizeof(float);
+    const std::uint64_t have = payload_bytes - sizeof(DetectGeometry);
+    if (have < pixel_bytes) return "protocol: payload truncated at detect-request pixels";
+    if (have > pixel_bytes) return "protocol: trailing bytes after detect-request";
+    return nullptr;
+}
+
+constexpr const char* kDetectRequestTruncated =
+    "protocol: payload truncated at detect-request";
+
 }  // namespace
 
 const char* to_string(Opcode op) noexcept {
@@ -108,7 +163,7 @@ const char* to_string(Opcode op) noexcept {
     return "?";
 }
 
-bool read_frame(int fd, Frame& out) {
+bool read_header(int fd, FrameHeader& out) {
     FrameHeader h;
     const std::size_t got = io::read_full(fd, &h, sizeof(h));
     if (got == 0) return false;  // peer closed at a frame boundary
@@ -129,33 +184,28 @@ bool read_frame(int fd, Frame& out) {
                                  " exceeds the " +
                                  std::to_string(kMaxPayloadBytes) + "-byte cap");
     }
-    out.header = h;
-    out.payload.resize(h.payload_bytes);
-    if (h.payload_bytes > 0 &&
-        io::read_full(fd, out.payload.data(), out.payload.size()) !=
-            out.payload.size()) {
-        throw std::runtime_error("protocol: stream ended inside a frame payload");
-    }
+    out = h;
+    return true;
+}
+
+void read_payload(int fd, Frame& out) {
+    out.payload.resize(out.header.payload_bytes);
+    read_payload_bytes(fd, out.payload.data(), out.payload.size());
+}
+
+bool read_frame(int fd, Frame& out) {
+    if (!read_header(fd, out.header)) return false;
+    read_payload(fd, out);
     return true;
 }
 
 void write_frame(int fd, Opcode opcode, std::uint64_t request_id,
                  const void* payload, std::size_t payload_bytes) {
-    if (payload_bytes > kMaxPayloadBytes) {
-        throw std::runtime_error("protocol: refusing to send oversized payload");
-    }
-    FrameHeader h;
-    h.opcode = static_cast<std::uint16_t>(opcode);
-    h.request_id = request_id;
-    h.payload_bytes = static_cast<std::uint32_t>(payload_bytes);
-    // One buffered write per frame: header and payload leave as a unit, so a
-    // concurrent writer on another fd never interleaves with us and small
-    // frames cost one syscall.
-    std::vector<std::uint8_t> wire;
-    wire.reserve(sizeof(h) + payload_bytes);
-    put_bytes(wire, &h, sizeof(h));
-    if (payload_bytes > 0) put_bytes(wire, payload, payload_bytes);
-    io::write_full(fd, wire.data(), wire.size());
+    const FrameHeader h = header_for(opcode, request_id, payload_bytes);
+    // One gather write per frame: header and payload leave as a unit without
+    // being copied into one buffer, and small frames cost one syscall.
+    const iovec parts[] = {part(&h, sizeof(h)), part(payload, payload_bytes)};
+    io::write_full(fd, parts);
 }
 
 void write_frame(int fd, Opcode opcode, std::uint64_t request_id,
@@ -164,28 +214,56 @@ void write_frame(int fd, Opcode opcode, std::uint64_t request_id,
 }
 
 std::vector<std::uint8_t> encode_detect_request(const Image& frame) {
+    const std::size_t pixel_bytes = frame.size() * sizeof(float);
     std::vector<std::uint8_t> buf;
-    buf.reserve(8 + frame.size() * sizeof(float));
-    put(buf, static_cast<std::uint16_t>(frame.width()));
-    put(buf, static_cast<std::uint16_t>(frame.height()));
-    put(buf, static_cast<std::uint16_t>(frame.channels()));
-    put(buf, static_cast<std::uint16_t>(0));
-    put_bytes(buf, frame.data(), frame.size() * sizeof(float));
+    buf.reserve(sizeof(DetectGeometry) + pixel_bytes);
+    put(buf, geometry_of(frame));
+    put_bytes(buf, frame.data(), pixel_bytes);
     return buf;
 }
 
 Image decode_detect_request(const std::vector<std::uint8_t>& payload) {
+    if (payload.size() < sizeof(DetectGeometry)) throw BadRequest(kDetectRequestTruncated);
     Cursor c(payload);
-    const int w = c.take<std::uint16_t>("detect-request");
-    const int h = c.take<std::uint16_t>("detect-request");
-    const int ch = c.take<std::uint16_t>("detect-request");
-    (void)c.take<std::uint16_t>("detect-request");  // reserved
-    if (w <= 0 || h <= 0 || ch <= 0) {
-        throw std::runtime_error("protocol: detect-request with empty geometry");
-    }
-    Image img(w, h, ch);
+    const auto g = c.take<DetectGeometry>("detect-request");
+    if (const char* bad = detect_request_error(g, payload.size())) throw BadRequest(bad);
+    Image img(g.width, g.height, g.channels);
     c.take_bytes(img.data(), img.size() * sizeof(float), "detect-request pixels");
-    c.expect_consumed("detect-request");
+    return img;
+}
+
+void write_detect_request(int fd, std::uint64_t request_id, const Image& frame) {
+    const DetectGeometry g = geometry_of(frame);
+    const std::size_t pixel_bytes = frame.size() * sizeof(float);
+    const FrameHeader h =
+        header_for(Opcode::kDetectRequest, request_id, sizeof(g) + pixel_bytes);
+    const iovec parts[] = {part(&h, sizeof(h)), part(&g, sizeof(g)),
+                           part(frame.data(), pixel_bytes)};
+    io::write_full(fd, parts);
+}
+
+Image read_detect_request(int fd, const FrameHeader& header) {
+    std::size_t left = header.payload_bytes;
+    DetectGeometry g;
+    const char* bad = kDetectRequestTruncated;
+    if (left >= sizeof(g)) {
+        read_payload_bytes(fd, &g, sizeof(g));
+        left -= sizeof(g);
+        bad = detect_request_error(g, header.payload_bytes);
+    }
+    if (bad != nullptr) {
+        // Consume the rest through a small buffer, never one sized by the
+        // untrusted length, so the next frame starts where it should.
+        char sink[4096];
+        while (left > 0) {
+            const std::size_t n = std::min(left, sizeof(sink));
+            read_payload_bytes(fd, sink, n);
+            left -= n;
+        }
+        throw BadRequest(bad);
+    }
+    Image img(g.width, g.height, g.channels);
+    read_payload_bytes(fd, img.data(), left);
     return img;
 }
 

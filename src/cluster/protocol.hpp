@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,11 +75,21 @@ struct Frame {
 /// Reads one complete frame. Returns false on a clean end-of-stream exactly
 /// at a frame boundary (peer closed). Throws std::runtime_error for a
 /// malformed header (bad magic, version mismatch, oversized payload) or a
-/// mid-frame EOF, std::system_error for socket errors.
+/// mid-frame EOF, std::system_error for socket errors. read_header followed
+/// by read_payload.
 [[nodiscard]] bool read_frame(int fd, Frame& out);
 
-/// Writes one complete frame (header + payload). Throws std::system_error on
-/// socket errors (EPIPE when the peer died). Callers serialize per-fd writes.
+/// The first half of read_frame: reads and checks one header (magic,
+/// version, the kMaxPayloadBytes cap). The caller then consumes exactly
+/// `payload_bytes` with read_payload or read_detect_request.
+[[nodiscard]] bool read_header(int fd, FrameHeader& out);
+/// The second half of read_frame: reads `out.header.payload_bytes` into
+/// `out.payload` (whose capacity is reused across frames).
+void read_payload(int fd, Frame& out);
+
+/// Writes one complete frame, header and payload in one gather write (no
+/// copy into a frame buffer). Throws std::system_error on socket errors
+/// (EPIPE when the peer died). Callers serialize per-fd writes.
 void write_frame(int fd, Opcode opcode, std::uint64_t request_id,
                  const void* payload, std::size_t payload_bytes);
 void write_frame(int fd, Opcode opcode, std::uint64_t request_id,
@@ -90,8 +101,30 @@ void write_frame(int fd, Opcode opcode, std::uint64_t request_id,
 
 /// Detect request: u16 width, u16 height, u16 channels, u16 reserved, then
 /// width*height*channels f32 pixels (planar CHW, exactly Image's layout).
+/// One definition of this layout and its check serves all four calls below:
+/// a request is valid only when no size is zero and the payload is exactly
+/// 8 + width*height*channels*4 bytes. Failures throw BadRequest.
 [[nodiscard]] std::vector<std::uint8_t> encode_detect_request(const Image& frame);
 [[nodiscard]] Image decode_detect_request(const std::vector<std::uint8_t>& payload);
+
+/// A detect request whose geometry fails the check. read_detect_request
+/// throws it only after consuming the payload, so the stream is still in
+/// step and the reader may answer kError and read on.
+struct BadRequest : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/// Sends `frame` as a detect-request frame: header, geometry and pixels in
+/// one gather write straight from the Image, with no payload buffer. The
+/// bytes equal write_frame(fd, kDetectRequest, id, encode_detect_request(frame)).
+void write_detect_request(int fd, std::uint64_t request_id, const Image& frame);
+
+/// Reads the payload of a detect request whose header read_header returned:
+/// the geometry, checked against `header.payload_bytes` before anything is
+/// allocated, then the pixels straight into the returned Image. Throws
+/// BadRequest for a bad geometry, std::runtime_error when the stream ends
+/// inside the payload.
+[[nodiscard]] Image read_detect_request(int fd, const FrameHeader& header);
 
 /// One ServeResult crossing the wire. frame_index is the worker's local
 /// submission index; the router rewrites it with its own fleet-wide index.

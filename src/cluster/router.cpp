@@ -183,10 +183,10 @@ std::future<serve::ServeResult> Router::submit(std::uint64_t client_id,
     p.retries_left = config_.max_retries;
     p.submit_time = now;
     std::future<serve::ServeResult> fut = p.promise.get_future();
-    // Encoded before any lock: the payload dominates the work and sheds are
-    // the rare path.
-    const std::vector<std::uint8_t> payload = encode_detect_request(frame);
-    p.frame = std::move(frame);
+    // The pending record and the write below share the pixels: a worker loss
+    // can re-dispatch and resolve this frame while the write still reads them.
+    p.frame = std::make_shared<const Image>(std::move(frame));
+    const std::shared_ptr<const Image> pixels = p.frame;
 
     serve::ServeStatus shed_status = serve::ServeStatus::kOk;
     std::string shed_error;
@@ -268,7 +268,7 @@ std::future<serve::ServeResult> Router::submit(std::uint64_t client_id,
     }
     try {
         sync::MutexLock wl(target->write_mu);
-        write_frame(target->fd.get(), Opcode::kDetectRequest, id, payload);
+        write_detect_request(target->fd.get(), id, *pixels);
     } catch (const std::exception&) {
         // The pending frame is registered on `target`; taking the worker out
         // re-dispatches or sheds it (never abandons it).
@@ -493,7 +493,7 @@ void Router::take_worker_out(Worker& w, WorkerState to_state, const char* reason
 
 void Router::redispatch_or_shed(std::vector<PendingRequest> stranded) {
     for (auto& p : stranded) {
-        const std::vector<std::uint8_t> payload = encode_detect_request(p.frame);
+        const std::shared_ptr<const Image> pixels = p.frame;
         Worker* target = nullptr;
         std::uint64_t id = 0;
         {
@@ -517,7 +517,7 @@ void Router::redispatch_or_shed(std::vector<PendingRequest> stranded) {
         }
         try {
             sync::MutexLock wl(target->write_mu);
-            write_frame(target->fd.get(), Opcode::kDetectRequest, id, payload);
+            write_detect_request(target->fd.get(), id, *pixels);
         } catch (const std::exception&) {
             // Recursion bounded by retries_left and the worker count; the
             // just-registered frame is in `target`'s pending map, so the
@@ -536,12 +536,19 @@ void Router::send_ping(Worker& w) {
         w.ping_id = id;
         w.ping_sent_at = Clock::now();
     }
+    // A request write stuck on a worker that stopped reading holds write_mu;
+    // waiting behind it would wedge this thread for the whole fleet. The ping
+    // then counts as sent and unanswered, so that worker goes overdue and is
+    // ejected, which re-dispatches its frames.
+    if (!w.write_mu.try_lock()) return;
+    bool failed = false;
     try {
-        sync::MutexLock wl(w.write_mu);
         write_frame(w.fd.get(), Opcode::kPing, id, nullptr, 0);
     } catch (const std::exception&) {
-        take_worker_out(w, WorkerState::kDead, "ping write failed");
+        failed = true;
     }
+    w.write_mu.unlock();
+    if (failed) take_worker_out(w, WorkerState::kDead, "ping write failed");
 }
 
 void Router::health_loop() {

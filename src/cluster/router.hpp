@@ -206,7 +206,9 @@ class Router {
     struct PendingRequest {
         std::promise<serve::ServeResult> promise;
         std::uint64_t client_id = 0;
-        Image frame;  ///< retained for re-dispatch after a worker loss
+        /// The pixels, kept for re-dispatch after a worker loss and shared
+        /// with any request write still sending them.
+        std::shared_ptr<const Image> frame;
         int frame_index = 0;
         int retries_left = 0;
         std::chrono::steady_clock::time_point submit_time;

@@ -123,26 +123,29 @@ std::uint64_t WorkerServer::run() {
     std::exception_ptr stream_error;
     try {
         Frame frame;
-        while (read_frame(fd_, frame)) {
+        while (read_header(fd_, frame.header)) {
             const auto opcode = static_cast<Opcode>(frame.header.opcode);
             const std::uint64_t id = frame.header.request_id;
-            switch (opcode) {
-                case Opcode::kDetectRequest: {
-                    Image img;
-                    try {
-                        img = decode_detect_request(frame.payload);
-                    } catch (const std::exception& e) {
-                        sync::MutexLock lock(write_mu_);
-                        write_frame(fd_, Opcode::kError, id, encode_error(e.what()));
-                        break;
-                    }
-                    Pending p;
-                    p.request_id = id;
-                    p.result = service_.submit(std::move(img));
-                    ++served_;
-                    (void)pending_.push(std::move(p));
-                    break;
+            if (opcode == Opcode::kDetectRequest) {
+                // The pixels go from the socket straight into the frame the
+                // service is handed; only the small opcodes use frame.payload.
+                Image img;
+                try {
+                    img = read_detect_request(fd_, frame.header);
+                } catch (const BadRequest& e) {
+                    sync::MutexLock lock(write_mu_);
+                    write_frame(fd_, Opcode::kError, id, encode_error(e.what()));
+                    continue;
                 }
+                Pending p;
+                p.request_id = id;
+                p.result = service_.submit(std::move(img));
+                ++served_;
+                (void)pending_.push(std::move(p));
+                continue;
+            }
+            read_payload(fd_, frame);
+            switch (opcode) {
                 case Opcode::kPing: {
                     const serve::ServeStatsSnapshot s = service_.stats();
                     const WorkerGauges g{s.queue_depth, s.in_flight, s.uptime_ms};

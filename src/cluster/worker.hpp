@@ -2,7 +2,8 @@
 //
 // A WorkerServer wraps one DetectionService behind a single connected socket:
 // a reader loop decodes frames (protocol.hpp) and submits detect requests to
-// the service, and a resolver thread turns the resulting futures back into
+// the service, reading each request's pixels straight into the Image it
+// submits, and a resolver thread turns the resulting futures back into
 // detect-response frames. Requests therefore pipeline — the router can keep
 // several frames in flight per worker and the service's own queue, micro-
 // batching, and self-healing machinery (docs/robustness.md) all apply

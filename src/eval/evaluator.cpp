@@ -51,7 +51,8 @@ Preprocess preprocess_image(const Image& image, const Shape& in,
     } else if (src->width() == in.w && src->height() == in.h) {
         src->copy_to_batch(input, b);
     } else {
-        resize_bilinear(*src, in.w, in.h).copy_to_batch(input, b);
+        resize_bilinear_into(*src, in.w, in.h,
+                             input.data() + static_cast<std::int64_t>(b) * in.chw());
     }
     return pp;
 }
@@ -116,7 +117,7 @@ std::vector<Detections> detect_images_timed(Network& net, std::span<const Image>
     if (images.empty()) return {};
     net.set_batch(static_cast<int>(images.size()));
     const Shape in = net.input_shape();
-    Tensor input(in);
+    Tensor& input = net.input_buffer();
     auto mark = std::chrono::steady_clock::now();
     std::vector<Preprocess> pre(images.size());
     for (std::size_t b = 0; b < images.size(); ++b) {

@@ -29,7 +29,7 @@ struct EvalConfig {
 /// Per-stage wall-clock breakdown of one detect_image call, in milliseconds.
 /// Feeds the serving layer's latency histograms (src/serve).
 struct DetectStageTimings {
-    double preprocess_ms = 0;   ///< resize/letterbox + NCHW copy
+    double preprocess_ms = 0;   ///< resize/letterbox into the input tensor
     double forward_ms = 0;      ///< network forward pass
     double postprocess_ms = 0;  ///< decode + score filter + NMS (+ unletterbox)
 };

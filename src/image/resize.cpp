@@ -13,6 +13,12 @@ namespace dronet {
 Image resize_bilinear(const Image& src, int new_w, int new_h) {
     if (src.empty()) throw std::invalid_argument("resize_bilinear: empty source");
     Image dst(new_w, new_h, src.channels());
+    resize_bilinear_into(src, new_w, new_h, dst.data());
+    return dst;
+}
+
+void resize_bilinear_into(const Image& src, int new_w, int new_h, float* dst) {
+    if (src.empty()) throw std::invalid_argument("resize_bilinear: empty source");
     // Half-pixel (pixel-center) sampling: destination pixel center (x + 0.5)
     // maps to source coordinate (x + 0.5) * src/dst. This is the same
     // continuous-coordinate scaling that letterbox's `scale = dst/src` implies,
@@ -71,11 +77,11 @@ Image resize_bilinear(const Image& src, int new_w, int new_h) {
             }
             const float* top = buf0.data();
             const float* bot = y1 == y0 ? buf0.data() : buf1.data();
-            lerp_rows(top, bot, wy, &dst.px(0, y, c),
+            lerp_rows(top, bot, wy,
+                      dst + (static_cast<std::size_t>(c) * new_h + y) * new_w,
                       static_cast<std::size_t>(new_w));
         }
     }
-    return dst;
 }
 
 Image resize_nearest(const Image& src, int new_w, int new_h) {

@@ -13,6 +13,12 @@ namespace dronet {
 /// Bilinear resample to new_w x new_h.
 [[nodiscard]] Image resize_bilinear(const Image& src, int new_w, int new_h);
 
+/// resize_bilinear written into caller memory: `dst` receives
+/// src.channels() planes of new_w x new_h floats (CHW, Image's layout), such
+/// as one batch slot of a network input tensor. resize_bilinear is this
+/// into a fresh Image, so both give bit-identical pixels.
+void resize_bilinear_into(const Image& src, int new_w, int new_h, float* dst);
+
 /// Nearest-neighbour resample (cheap path used by the video pipeline's
 /// preview output; not used for network input).
 [[nodiscard]] Image resize_nearest(const Image& src, int new_w, int new_h);

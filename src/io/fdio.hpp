@@ -9,7 +9,10 @@
 // SIGCHLD) routinely interrupt syscalls mid-transfer.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <cstddef>
+#include <span>
 #include <utility>
 
 namespace dronet::io {
@@ -23,8 +26,15 @@ namespace dronet::io {
 /// Writes all `n` bytes, retrying on EINTR and short writes (sockets and
 /// pipes routinely accept fewer bytes than asked under pressure). Throws
 /// std::system_error on a write error, including EPIPE when the peer is gone
-/// (callers must ignore SIGPIPE; see ignore_sigpipe()).
+/// (callers must ignore SIGPIPE; see ignore_sigpipe()). The gather overload
+/// below with one part.
 void write_full(int fd, const void* buf, std::size_t n);
+
+/// Gather write: sends every byte of `parts`, in order, as one stream with
+/// writev, so a header and a payload in different buffers leave without a
+/// copy into one. Retries EINTR and short writes the same way (a short write
+/// may end anywhere, inside any part). Empty parts are skipped.
+void write_full(int fd, std::span<const iovec> parts);
 
 /// Installs SIG_IGN for SIGPIPE (idempotent) so a write to a dead peer
 /// surfaces as an EPIPE std::system_error instead of killing the process.

@@ -43,8 +43,6 @@ void ConvolutionalLayer::setup(const Shape& input) {
     }
     output_shape_ = Shape{input.n, config_.filters, geo_.out_h(), geo_.out_w()};
     output_.resize(output_shape_);
-    delta_.resize(output_shape_);
-    if (config_.batch_normalize) x_norm_.resize(output_shape_);
 }
 
 std::string ConvolutionalLayer::describe() const {
@@ -113,6 +111,7 @@ void ConvolutionalLayer::batchnorm_forward(bool train) {
                 (1 - kBnMomentum) * variance_[static_cast<std::size_t>(c)];
         }
         normalize_channels(out, mean_, variance_, batch, channels, spatial, kBnEps);
+        x_norm_.resize(output_shape_);  // allocated by the first training pass
         copy(out, x_norm_.span());
     } else {
         normalize_channels(out, rolling_mean_, rolling_variance_, batch, channels,

@@ -112,7 +112,7 @@ class ConvolutionalLayer final : public Layer {
     std::vector<float> rolling_variance_;
 
     // Training caches.
-    Tensor x_norm_;               ///< normalized pre-scale activations
+    Tensor x_norm_;               ///< normalized pre-scale activations (training only)
     std::vector<float> mean_;     ///< batch mean per channel
     std::vector<float> variance_; ///< batch variance per channel
     static constexpr float kBnEps = 1e-5f;

@@ -1,9 +1,10 @@
 // Abstract layer interface of the CNN engine.
 //
-// Layers own their output activation tensor and (during training) a delta
-// tensor holding dLoss/dOutput. The Network drives forward/backward passes
-// and provides the shared im2col workspace, mirroring darknet's execution
-// model which the paper's models were deployed with.
+// Layers own their output activation tensor and, once a training pass asks
+// for it, a delta tensor holding dLoss/dOutput. The Network drives
+// forward/backward passes and provides the shared im2col workspace,
+// mirroring darknet's execution model which the paper's models were
+// deployed with.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +79,15 @@ class Layer {
 
     [[nodiscard]] const Tensor& output() const noexcept { return output_; }
     [[nodiscard]] Tensor& output() noexcept { return output_; }
-    [[nodiscard]] Tensor& delta() noexcept { return delta_; }
+    /// dLoss/dOutput, sized to output_shape() on every call and allocated on
+    /// the first: a network that only runs inference never holds one. Its
+    /// contents are unspecified after a resize until training writes them
+    /// (Network::backward zeroes every delta but the last layer's, which the
+    /// region head's training forward zeroes and fills).
+    [[nodiscard]] Tensor& delta() {
+        delta_.resize(output_shape_);
+        return delta_;
+    }
 
     /// Trainable parameter blocks (empty for parameter-free layers).
     [[nodiscard]] virtual std::vector<Param*> params() { return {}; }
@@ -106,7 +115,7 @@ class Layer {
     Shape input_shape_;
     Shape output_shape_;
     Tensor output_;
-    Tensor delta_;
+    Tensor delta_;  ///< through delta() only, which sizes it
 };
 
 }  // namespace dronet

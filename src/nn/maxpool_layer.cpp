@@ -28,7 +28,6 @@ void MaxPoolLayer::setup(const Shape& input) {
     }
     output_shape_ = Shape{input.n, input.c, out_h, out_w};
     output_.resize(output_shape_);
-    delta_.resize(output_shape_);
 }
 
 std::string MaxPoolLayer::describe() const {

@@ -14,7 +14,6 @@ void AvgPoolLayer::setup(const Shape& input) {
     input_shape_ = input;
     output_shape_ = Shape{input.n, input.c, 1, 1};
     output_.resize(output_shape_);
-    delta_.resize(output_shape_);
 }
 
 std::string AvgPoolLayer::describe() const {
@@ -67,7 +66,6 @@ void DropoutLayer::setup(const Shape& input) {
     input_shape_ = input;
     output_shape_ = input;
     output_.resize(output_shape_);
-    delta_.resize(output_shape_);
     mask_.assign(static_cast<std::size_t>(input.size()), 1.0f);
 }
 

@@ -123,8 +123,9 @@ const Tensor& Network::forward(const Tensor& input, bool train) {
 void Network::backward() {
     if (layers_.empty()) return;
     // Clear deltas of all but the last layer (whose delta holds dL/dOut, set
-    // by the region layer's loss).
+    // by the region layer's loss); delta() sizes each one, the last included.
     for (std::size_t i = 0; i + 1 < layers_.size(); ++i) layers_[i]->delta().zero();
+    (void)layers_.back()->delta();
     for (int i = static_cast<int>(layers_.size()) - 1; i >= 0; --i) {
         const Tensor& in = (i == 0) ? input_copy_ : layers_[static_cast<std::size_t>(i - 1)]->output();
         Tensor* in_delta = (i == 0) ? nullptr : &layers_[static_cast<std::size_t>(i - 1)]->delta();
@@ -190,6 +191,11 @@ void Network::set_batch(int batch) {
     if (batch == config_.batch) return;
     config_.batch = batch;
     resize_input(config_.width, config_.height);
+}
+
+Tensor& Network::input_buffer() {
+    input_buffer_.resize(input_shape());
+    return input_buffer_;
 }
 
 RegionLayer* Network::region() noexcept {

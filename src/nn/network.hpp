@@ -155,6 +155,12 @@ class Network {
     /// never shrunk. Byte storage, so any of those types may live in it.
     [[nodiscard]] std::byte* workspace() noexcept { return workspace_.get(); }
 
+    /// Input tensor the network owns, shaped input_shape() on every call, for
+    /// callers that fill the input in place (the detect path resizes each
+    /// frame straight into its batch slot) instead of building a Tensor per
+    /// call. Grow-only like the workspace; holds whatever was last written.
+    [[nodiscard]] Tensor& input_buffer();
+
     /// Per-layer timing sink, populated by forward() while profiling is
     /// enabled (profile::profiling_enabled()). Null until the first profiled
     /// forward. Read only while the network is quiescent.
@@ -177,6 +183,7 @@ class Network {
     std::vector<std::unique_ptr<Layer>> layers_;
     std::unique_ptr<std::byte[]> workspace_;
     std::size_t workspace_size_ = 0;  ///< bytes
+    Tensor input_buffer_;  ///< see input_buffer()
     Tensor input_copy_;  ///< retained for backward()
     Precision precision_ = Precision::kF32;
     Int8Calibration calibration_;

@@ -39,7 +39,6 @@ void RegionLayer::setup(const Shape& input) {
     input_shape_ = input;
     output_shape_ = input;
     output_.resize(output_shape_);
-    delta_.resize(output_shape_);
 }
 
 std::string RegionLayer::describe() const {
@@ -110,7 +109,7 @@ void RegionLayer::forward(const Tensor& input, Network&, bool train) {
 }
 
 void RegionLayer::compute_loss(const Tensor& input) {
-    delta_.zero();
+    delta().zero();
     stats_ = RegionStats{};
     const int w = grid_w();
     const int h = grid_h();

@@ -36,7 +36,6 @@ void RouteLayer::setup_with_network(Network& net, int self_index) {
     input_shape_ = first;
     output_shape_ = Shape{first.n, channels, first.h, first.w};
     output_.resize(output_shape_);
-    delta_.resize(output_shape_);
 }
 
 std::string RouteLayer::describe() const {

@@ -14,7 +14,6 @@ void UpsampleLayer::setup(const Shape& input) {
     input_shape_ = input;
     output_shape_ = Shape{input.n, input.c, input.h * stride_, input.w * stride_};
     output_.resize(output_shape_);
-    delta_.resize(output_shape_);
 }
 
 std::string UpsampleLayer::describe() const {

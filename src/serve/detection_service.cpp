@@ -103,12 +103,12 @@ DetectionService::DetectionService(const Network& prototype, ServiceConfig confi
 DetectionService::~DetectionService() { stop(); }
 
 // Mirrors construction for every generation: per-worker clones pre-reserved
-// at the largest batch (tensor storage is grow-only, so later per-batch
-// set_batch() calls in detect_images are allocation-free), the degraded
-// geometry warmed when degradation is configured, and each replica set to
-// the configured precision — under int8 with one calibration computed on
-// replica 0 and shared (clones carry identical weights, so every replica
-// quantizes identically).
+// at the largest batch, input tensor included (tensor storage is grow-only,
+// so later per-batch set_batch() calls in detect_images are allocation-free),
+// the degraded geometry warmed when degradation is configured, and each
+// replica set to the configured precision — under int8 with one calibration
+// computed on replica 0 and shared (clones carry identical weights, so every
+// replica quantizes identically).
 std::shared_ptr<DetectionService::ModelSet>
 DetectionService::build_model_set(Network candidate) {
     auto set = std::make_shared<ModelSet>();
@@ -117,6 +117,7 @@ DetectionService::build_model_set(Network candidate) {
     for (int i = 0; i < config_.workers; ++i) {
         auto replica = std::make_unique<Network>(clone_network(candidate));
         replica->set_batch(config_.max_batch);
+        (void)replica->input_buffer();  // the detect path's input, at max_batch too
         if (config_.degrade_high_watermark > 0) {
             replica->resize_input(config_.degraded_size, config_.degraded_size);
             replica->resize_input(full_size_, full_size_);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -78,8 +79,28 @@ class Tensor {
     }
 
   private:
+    /// Storage starts on a cache line. With malloc's 16-byte alignment, where
+    /// each activation started depended on the heap's history, and a layer
+    /// whose 32-byte SIMD stores straddle cache lines runs several percent
+    /// slower (docs/performance.md).
+    template <typename T>
+    struct CacheLineAllocator {
+        using value_type = T;
+        static constexpr std::align_val_t kAlign{64};
+        CacheLineAllocator() = default;
+        template <typename U>
+        explicit CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+        T* allocate(std::size_t n) {
+            return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+        }
+        void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, kAlign); }
+        friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) noexcept {
+            return true;
+        }
+    };
+
     Shape shape_{0, 0, 0, 0};
-    std::vector<float> data_;
+    std::vector<float, CacheLineAllocator<float>> data_;
 };
 
 }  // namespace dronet

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -175,6 +176,120 @@ TEST(Protocol, DetectRequestRoundTripPreservesPixels) {
     EXPECT_EQ(std::memcmp(back.data(), img.data(), img.size() * sizeof(float)), 0);
 }
 
+/// Every byte a peer sends on `fd` until it closes, read in `chunk`-byte
+/// reads.
+std::vector<std::uint8_t> drain(int fd, std::size_t chunk) {
+    std::vector<std::uint8_t> got;
+    std::vector<std::uint8_t> buf(chunk);
+    for (;;) {
+        const ssize_t n = ::read(fd, buf.data(), buf.size());
+        if (n <= 0) return got;
+        got.insert(got.end(), buf.begin(), buf.begin() + n);
+    }
+}
+
+std::vector<std::uint8_t> encoded_request_bytes(std::uint64_t id, const Image& img) {
+    SocketPair sp;
+    std::vector<std::uint8_t> got;
+    std::thread reader([&] { got = drain(sp.b.get(), 1 << 16); });
+    cluster::write_frame(sp.a.get(), Opcode::kDetectRequest, id,
+                         cluster::encode_detect_request(img));
+    sp.a.reset();
+    reader.join();
+    return got;
+}
+
+TEST(Protocol, WriteDetectRequestIsByteIdenticalToEncodedFrame) {
+    for (const Image& img : {patterned_image(17, 11, 3, 1.0f),
+                             patterned_image(1, 1, 1, 0.5f),
+                             patterned_image(160, 120, 3, 1.0f)}) {
+        SocketPair sp;
+        std::vector<std::uint8_t> got;
+        std::thread reader([&] { got = drain(sp.b.get(), 1 << 16); });
+        cluster::write_detect_request(sp.a.get(), 77, img);
+        sp.a.reset();
+        reader.join();
+        EXPECT_EQ(got, encoded_request_bytes(77, img)) << img.width() << "x" << img.height();
+    }
+}
+
+TEST(Protocol, WriteDetectRequestSurvivesSmallChunkReader) {
+    // A tiny send buffer and a reader taking 13 bytes at a time: the gather
+    // write returns short again and again, across the boundary between two
+    // requests too, and must resume each time where it stopped. (Short
+    // writes ending inside every kind of part: Fdio.GatherWriteFull*.)
+    const Image img = patterned_image(61, 29, 3, 1.0f);
+    SocketPair sp;
+    const int small = 4096;
+    ASSERT_EQ(::setsockopt(sp.a.get(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+    std::vector<std::uint8_t> got;
+    std::thread reader([&] { got = drain(sp.b.get(), 13); });
+    cluster::write_detect_request(sp.a.get(), 5, img);
+    cluster::write_detect_request(sp.a.get(), 6, img);
+    sp.a.reset();
+    reader.join();
+    std::vector<std::uint8_t> want = encoded_request_bytes(5, img);
+    const std::vector<std::uint8_t> second = encoded_request_bytes(6, img);
+    want.insert(want.end(), second.begin(), second.end());
+    EXPECT_EQ(got, want);
+}
+
+/// A detect-request payload with the given geometry and `pixel_bytes` of
+/// pixels, whether or not the two agree.
+std::vector<std::uint8_t> detect_payload(std::uint16_t w, std::uint16_t h, std::uint16_t c,
+                                         std::size_t pixel_bytes) {
+    std::vector<std::uint8_t> payload(8 + pixel_bytes, 0x3f);
+    const std::uint16_t geometry[4] = {w, h, c, 0};
+    std::memcpy(payload.data(), geometry, sizeof(geometry));
+    return payload;
+}
+
+struct BadGeometry {
+    const char* name;
+    std::vector<std::uint8_t> payload;
+    const char* error;
+};
+
+/// Geometries that disagree with the payload length: short, long, zero, and
+/// sizes whose product is far past any payload.
+std::vector<BadGeometry> bad_geometries() {
+    const std::size_t px = 8 * 8 * 3 * sizeof(float);
+    return {
+        {"short", detect_payload(8, 8, 3, px - 4), "truncated"},
+        {"long", detect_payload(8, 8, 3, px + 4), "trailing"},
+        {"zero", detect_payload(0, 8, 3, px), "empty geometry"},
+        {"huge", detect_payload(65535, 65535, 65535, 64), "truncated"},
+        {"no geometry", {1, 2, 3}, "truncated"},
+    };
+}
+
+TEST(Protocol, DirectReaderConsumesBadGeometryAndStaysInStep) {
+    const Image good = patterned_image(8, 8, 3, 1.0f);
+    for (const BadGeometry& bad : bad_geometries()) {
+        SocketPair sp;
+        cluster::write_frame(sp.a.get(), Opcode::kDetectRequest, 1, bad.payload);
+        cluster::write_detect_request(sp.a.get(), 2, good);
+        cluster::FrameHeader h;
+        ASSERT_TRUE(cluster::read_header(sp.b.get(), h));
+        try {
+            (void)cluster::read_detect_request(sp.b.get(), h);
+            ADD_FAILURE() << bad.name << ": accepted";
+        } catch (const cluster::BadRequest& e) {
+            EXPECT_NE(std::string(e.what()).find(bad.error), std::string::npos)
+                << bad.name << ": " << e.what();
+        }
+        // The codec applies the same check to the same bytes.
+        EXPECT_THROW((void)cluster::decode_detect_request(bad.payload), cluster::BadRequest)
+            << bad.name;
+        ASSERT_TRUE(cluster::read_header(sp.b.get(), h)) << bad.name;
+        EXPECT_EQ(h.request_id, 2u);
+        const Image back = cluster::read_detect_request(sp.b.get(), h);
+        ASSERT_EQ(back.size(), good.size());
+        EXPECT_EQ(std::memcmp(back.data(), good.data(), good.size() * sizeof(float)), 0)
+            << bad.name;
+    }
+}
+
 TEST(Protocol, DetectResponseRoundTripPreservesEverything) {
     cluster::WireDetectResult r;
     r.status = ServeStatus::kFailed;
@@ -321,6 +436,51 @@ TEST(WorkerServer, MalformedDetectRequestGetsErrorReply) {
     EXPECT_TRUE(got_error);
 }
 
+TEST(WorkerServer, BadGeometryIsAnsweredAndTheNextRequestServed) {
+    Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
+    serve::ServiceConfig sc;
+    sc.workers = 1;
+    serve::DetectionService service(net, sc);
+
+    SocketPair sp;
+    std::atomic<std::uint64_t> served{0};
+    std::thread worker([&, fd = sp.b.get()] {
+        cluster::WorkerServer server(service, fd);
+        served.store(server.run());
+        sp.b.reset();
+    });
+    const std::vector<BadGeometry> cases = bad_geometries();
+    const Image good = patterned_image(16, 16, 3, 1.0f);
+    std::uint64_t id = 1;
+    for (const BadGeometry& bad : cases) {
+        cluster::write_frame(sp.a.get(), Opcode::kDetectRequest, id++, bad.payload);
+        cluster::write_detect_request(sp.a.get(), id++, good);
+    }
+    cluster::write_frame(sp.a.get(), Opcode::kShutdown, 0, nullptr, 0);
+    std::map<std::uint64_t, Frame> replies;
+    Frame f;
+    while (cluster::read_frame(sp.a.get(), f)) {
+        if (static_cast<Opcode>(f.header.opcode) != Opcode::kShutdownAck) {
+            replies[f.header.request_id] = f;
+        }
+    }
+    worker.join();
+    service.stop();
+    EXPECT_EQ(served.load(), cases.size());
+    ASSERT_EQ(replies.size(), 2 * cases.size());
+    id = 1;
+    for (const BadGeometry& bad : cases) {
+        const Frame& err = replies[id++];
+        ASSERT_EQ(static_cast<Opcode>(err.header.opcode), Opcode::kError) << bad.name;
+        EXPECT_NE(cluster::decode_error(err.payload).find(bad.error), std::string::npos)
+            << bad.name;
+        const Frame& ok = replies[id++];
+        ASSERT_EQ(static_cast<Opcode>(ok.header.opcode), Opcode::kDetectResponse)
+            << bad.name;
+        EXPECT_EQ(cluster::decode_detect_response(ok.payload).status, ServeStatus::kOk);
+    }
+}
+
 TEST(WorkerServer, UnsupportedChannelCountGetsErrorReply) {
     // The wire decodes any channel count; the service resolves a frame it
     // cannot preprocess with an exception. The worker must answer it kError
@@ -423,7 +583,8 @@ TEST(WorkerServer, ReloadSwapsRollsBackAndRejectsBadCandidates) {
 /// Speaks the wire protocol on one socketpair end but only answers when the
 /// test says so: detect requests are held until release_all(), pings are
 /// answered only while answer_pings is on (or held for answer_oldest_ping()
-/// while hold_pings is on). That makes admission, dispatch, retry, and
+/// while hold_pings is on), and stall_on_next_detect() stops it reading
+/// mid-frame until resume(). That makes admission, dispatch, retry, and
 /// breaker transitions deterministic — no timing races on real compute.
 class FakeWorker {
   public:
@@ -431,6 +592,7 @@ class FakeWorker {
         : fd_(std::move(fd)), thread_([this] { loop(); }) {}
     ~FakeWorker() {
         disconnect();
+        resume();
         join();
     }
 
@@ -472,6 +634,33 @@ class FakeWorker {
         return held_.size();
     }
 
+    /// The payload of every detect request read so far, in arrival order.
+    std::vector<std::vector<std::uint8_t>> detect_payloads() {
+        std::lock_guard<std::mutex> lock(mu_);
+        return detect_payloads_;
+    }
+
+    /// The next detect request's header is read, then nothing more until
+    /// resume(): a worker that stopped reading in the middle of a frame.
+    void stall_on_next_detect() {
+        std::lock_guard<std::mutex> lock(mu_);
+        stall_armed_ = true;
+    }
+    void resume() {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            stall_armed_ = false;
+            stalled_ = false;
+        }
+        stall_cv_.notify_all();
+    }
+    /// Waits until the armed stall has taken hold (generous deadline).
+    [[nodiscard]] bool wait_for_stall() {
+        std::unique_lock<std::mutex> lock(mu_);
+        return stall_cv_.wait_for(lock, std::chrono::seconds(30),
+                                  [&] { return stalled_; });
+    }
+
     /// Answers every held detect request with an empty kOk result.
     void release_all() {
         std::vector<std::uint64_t> ids;
@@ -503,11 +692,21 @@ class FakeWorker {
     void loop() {
         try {
             Frame f;
-            while (cluster::read_frame(fd_.get(), f)) {
+            while (cluster::read_header(fd_.get(), f.header)) {
+                if (static_cast<Opcode>(f.header.opcode) == Opcode::kDetectRequest) {
+                    std::unique_lock<std::mutex> lock(mu_);
+                    if (stall_armed_) {
+                        stalled_ = true;
+                        stall_cv_.notify_all();
+                        stall_cv_.wait(lock, [&] { return !stalled_; });
+                    }
+                }
+                cluster::read_payload(fd_.get(), f);
                 switch (static_cast<Opcode>(f.header.opcode)) {
                     case Opcode::kDetectRequest: {
                         std::lock_guard<std::mutex> lock(mu_);
                         held_.push_back(f.header.request_id);
+                        detect_payloads_.push_back(f.payload);
                         break;
                     }
                     case Opcode::kPing:
@@ -559,7 +758,11 @@ class FakeWorker {
 
     io::UniqueFd fd_;
     std::mutex mu_;
+    std::condition_variable stall_cv_;
+    bool stall_armed_ = false;
+    bool stalled_ = false;
     std::vector<std::uint64_t> held_;
+    std::vector<std::vector<std::uint8_t>> detect_payloads_;
     std::vector<std::uint64_t> held_pings_;
     std::mutex write_mu_;
     std::atomic<bool> answer_pings_{true};
@@ -745,6 +948,74 @@ TEST(Router, LostWorkerRetriesInflightFramesOnHealthyOne) {
     EXPECT_EQ(fs.retried, 1u);
     EXPECT_EQ(fs.worker_deaths, 1u);
     EXPECT_EQ(fs.ok, 2u);
+    router.stop();
+}
+
+// The router writes a request straight from the frame it keeps for
+// re-dispatch. Here that write is stuck on a worker that stopped reading
+// mid-frame; the health loop ejects the worker, the frame is re-dispatched,
+// answered and resolved, and only then does the stuck write finish. The
+// pending record and the write share the pixels, so the write never reads
+// freed memory (which ASan cannot see: the kernel does the reading).
+TEST(Router, StuckWriteKeepsPixelsAliveAcrossRedispatch) {
+    SocketPair spa;
+    SocketPair spb;
+    const int fd_a = spa.a.release();
+    const int fd_b = spb.a.release();
+    FakeWorker fake_a(std::move(spa.b));
+    FakeWorker fake_b(std::move(spb.b));
+    cluster::RouterConfig rc = adopt_config({fd_a, fd_b});
+    rc.worker_inflight_limit = 0;
+    rc.max_retries = 1;
+    rc.health_interval_ms = 10;
+    rc.health_timeout_ms = 40;
+    rc.eject_threshold = 2;
+    rc.readmit_ms = 600000;  // stays ejected for the whole test
+    cluster::Router router(rc);
+
+    // 3 MB: far more than the socket buffers hold, so the write blocks.
+    const Image frame = patterned_image(512, 512, 3, 1.0f);
+    const std::vector<std::uint8_t> want = cluster::encode_detect_request(frame);
+    fake_a.stall_on_next_detect();
+    std::future<ServeResult> fut;
+    std::thread submitter([&] { fut = router.submit(1, frame); });  // slot 0 first
+    // A failed ASSERT below must still unstick the write and join, or the
+    // joinable thread would end the whole binary.
+    struct Unstick {
+        FakeWorker& fake;
+        std::thread& thread;
+        ~Unstick() {
+            fake.resume();
+            if (thread.joinable()) thread.join();
+        }
+    } unstick{fake_a, submitter};
+    ASSERT_TRUE(fake_a.wait_for_stall());
+    // The stuck write holds slot 0's write lock; the health loop must not
+    // queue behind it, so slot 0 goes overdue, is ejected and its frame
+    // moves to slot 1.
+    ASSERT_TRUE(fake_b.wait_for_held(1));
+    EXPECT_EQ(router.worker_state(0), cluster::WorkerState::kEjected);
+    fake_b.release_all();  // resolves the frame while the first write is stuck
+    fake_a.resume();
+    submitter.join();
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    EXPECT_EQ(fut.get().status, ServeStatus::kOk);
+    ASSERT_TRUE(fake_a.wait_for_held(1));
+    // The stale answer from slot 0 must not resolve anything a second time.
+    fake_a.release_all();
+    for (FakeWorker* fake : {&fake_a, &fake_b}) {
+        const auto payloads = fake->detect_payloads();
+        ASSERT_EQ(payloads.size(), 1u);
+        ASSERT_EQ(payloads[0].size(), want.size());
+        EXPECT_EQ(std::memcmp(payloads[0].data(), want.data(), want.size()), 0);
+    }
+    const cluster::FleetStats fs = router.fleet_stats(/*timeout_ms=*/100);
+    EXPECT_TRUE(fs.accounting_ok()) << fs.to_json();
+    EXPECT_EQ(fs.submitted, 1u);
+    EXPECT_EQ(fs.ok, 1u);
+    EXPECT_EQ(fs.retried, 1u);
+    EXPECT_GE(fs.worker_ejects, 1u);
+    EXPECT_EQ(fs.worker_deaths, 0u);
     router.stop();
 }
 

@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <system_error>
@@ -82,6 +88,87 @@ TEST(Fdio, WriteFullThrowsWhenReaderIsGone) {
     std::vector<std::uint8_t> payload(1u << 20, 0xab);
     EXPECT_THROW(io::write_full(p.wr.get(), payload.data(), payload.size()),
                  std::system_error);
+}
+
+/// Parts of odd sizes, an empty one among them, so the page-sized partial
+/// writes of a pipe end inside different parts.
+std::vector<std::vector<std::uint8_t>> gather_parts() {
+    std::vector<std::vector<std::uint8_t>> parts;
+    for (std::size_t n : {24u, 8u, 0u, 100003u, 1u, 7777u, 1u << 20}) {
+        std::vector<std::uint8_t> part(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            part[i] = static_cast<std::uint8_t>((i + parts.size()) * 2654435761u >> 11);
+        }
+        parts.push_back(std::move(part));
+    }
+    return parts;
+}
+
+std::vector<std::uint8_t> joined(const std::vector<std::vector<std::uint8_t>>& parts) {
+    std::vector<std::uint8_t> all;
+    for (const auto& p : parts) all.insert(all.end(), p.begin(), p.end());
+    return all;
+}
+
+std::vector<iovec> iovecs(std::vector<std::vector<std::uint8_t>>& parts) {
+    std::vector<iovec> iov;
+    for (auto& p : parts) iov.push_back({p.data(), p.size()});
+    return iov;
+}
+
+TEST(Fdio, GatherWriteFullReassemblesShortWritesAcrossParts) {
+    // A reader that drains in small chunks makes writev return short counts
+    // that end inside the parts; the stream must still come out in order.
+    Pipe p;
+    auto parts = gather_parts();
+    const std::vector<iovec> iov = iovecs(parts);
+    const std::vector<std::uint8_t> want = joined(parts);
+    std::thread writer([&] { io::write_full(p.wr.get(), iov); });
+    std::vector<std::uint8_t> got;
+    std::uint8_t chunk[1000];
+    while (got.size() < want.size()) {
+        const std::size_t n = io::read_full(p.rd.get(), chunk,
+                                            std::min(sizeof(chunk), want.size() - got.size()));
+        ASSERT_GT(n, 0u);
+        got.insert(got.end(), chunk, chunk + n);
+    }
+    writer.join();
+    EXPECT_EQ(got, want);
+}
+
+std::atomic<int> g_signals{0};
+extern "C" void count_signal(int) { g_signals.fetch_add(1); }
+
+TEST(Fdio, GatherWriteFullRetriesEintr) {
+    // A handler installed without SA_RESTART makes a writev blocked on a full
+    // pipe fail with EINTR (or return short once some bytes went through);
+    // write_full must carry on either way.
+    struct sigaction sa = {};
+    struct sigaction old = {};
+    sa.sa_handler = count_signal;
+    ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old), 0);
+    g_signals.store(0);
+    Pipe p;
+    auto parts = gather_parts();
+    const std::vector<iovec> iov = iovecs(parts);
+    const std::vector<std::uint8_t> want = joined(parts);
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        io::write_full(p.wr.get(), iov);
+        done.store(true);
+    });
+    // The pipe fills at ~64 KB, so the writer blocks; interrupt it there.
+    for (int i = 0; i < 5; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        ::pthread_kill(writer.native_handle(), SIGUSR1);
+    }
+    std::vector<std::uint8_t> got(want.size());
+    EXPECT_EQ(io::read_full(p.rd.get(), got.data(), got.size()), got.size());
+    writer.join();
+    ::sigaction(SIGUSR1, &old, nullptr);
+    EXPECT_TRUE(done.load());
+    EXPECT_EQ(g_signals.load(), 5);
+    EXPECT_EQ(got, want);
 }
 
 TEST(Fdio, UniqueFdClosesOnDestructionAndMoves) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cluster/protocol.hpp"
+#include "cluster/worker.hpp"
 #include "image/image.hpp"
 #include "image/ppm.hpp"
 #include "io/fdio.hpp"
@@ -27,6 +28,7 @@
 #include "nn/cfg.hpp"
 #include "nn/clone.hpp"
 #include "nn/weights_io.hpp"
+#include "serve/detection_service.hpp"
 
 namespace dronet {
 namespace {
@@ -194,10 +196,35 @@ TEST(FuzzParsers, MutatedClusterWireFramesNeverCrash) {
     }
     ASSERT_FALSE(blob.empty());
 
+    // The worker reads detect requests with its own direct reader (geometry
+    // first, then the pixels straight into an Image), so every mutant is
+    // also served to a real WorkerServer.
+    Network net = build_model(ModelId::kDroNet, {.input_size = 32, .filter_scale = 0.25f});
+    serve::ServiceConfig sc;
+    sc.workers = 1;
+    serve::DetectionService service(net, sc);
+
     std::mt19937 rng(0xf4a3e5u);
-    int threw = 0, clean = 0;
+    int threw = 0, clean = 0, worker_threw = 0, worker_clean = 0;
     for (int i = 0; i < kMutations; ++i) {
         const std::vector<char> m = mutate(blob, i, rng);
+        {
+            int sv[2];
+            ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+            io::UniqueFd router_end(sv[0]);
+            io::UniqueFd worker_end(sv[1]);
+            io::write_full(router_end.get(), m.data(), m.size());
+            // End of stream after the mutant; replies still have somewhere
+            // to go (the socket buffer; nobody reads them).
+            ::shutdown(router_end.get(), SHUT_WR);
+            try {
+                cluster::WorkerServer server(service, worker_end.get());
+                (void)server.run();
+                ++worker_clean;
+            } catch (const std::exception&) {
+                ++worker_threw;  // corrupt framing surfaces after the drain
+            }
+        }
         int sv[2];
         ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
         io::UniqueFd writer(sv[0]);
@@ -235,6 +262,9 @@ TEST(FuzzParsers, MutatedClusterWireFramesNeverCrash) {
     }
     EXPECT_EQ(threw + clean, kMutations);
     EXPECT_GT(threw, 0);  // flips hit the fixed header often enough to reject
+    EXPECT_EQ(worker_threw + worker_clean, kMutations);
+    EXPECT_GT(worker_threw, 0);
+    service.stop();
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Network orchestration: forward chaining, backward accumulation, resize,
-// batch switching, describe, workspace sizing and batch-norm folding.
+// batch switching, training buffers allocated on first use, describe,
+// workspace sizing and batch-norm folding.
 #include <gtest/gtest.h>
 
 #include "nn/network.hpp"
@@ -137,6 +138,79 @@ TEST(Network, BackwardAccumulatesIntoEarlierLayers) {
     float grad_norm = 0;
     for (float g : conv->weights().g) grad_norm += g * g;
     EXPECT_GT(grad_norm, 0.0f);
+}
+
+// Every layer kind that trains through a delta, plus the conv batch-norm
+// buffer: conv (with batch norm), maxpool, dropout, upsample, route, region.
+Network delta_probe_net(int batch) {
+    Network net(cfg(3, 16, 16, batch));
+    net.add_conv({.filters = 8, .ksize = 3, .stride = 1, .pad = 1,
+                  .batch_normalize = true});                      // 0: 16x16x8
+    net.add_maxpool({.size = 2, .stride = 2});                     // 1: 8x8x8
+    net.add_conv({.filters = 8, .ksize = 3, .stride = 1, .pad = 1,
+                  .batch_normalize = true});                      // 2: 8x8x8
+    net.add_dropout(0.25f);                                        // 3
+    net.add_upsample(2);                                           // 4: 16x16x8
+    net.add_route({4, 0});                                         // 5: 16x16x16
+    net.add_maxpool({.size = 2, .stride = 2});                     // 6: 8x8x16
+    RegionConfig rc;
+    rc.classes = 1;
+    rc.num = 2;
+    rc.anchors = {1.0f, 1.0f, 2.0f, 2.0f};
+    net.add_conv({.filters = rc.num * (5 + rc.classes), .ksize = 1, .stride = 1,
+                  .pad = 0, .activation = Activation::kLinear});
+    net.add_region(rc);
+    return net;
+}
+
+void infer_at(Network& net, int batch, int size) {
+    net.set_batch(batch);
+    net.resize_input(size, size);
+    Tensor in(net.input_shape());
+    Rng rng(static_cast<std::uint64_t>(batch * 1000 + size));
+    rng.fill_uniform(in.span(), 0.0f, 1.0f);
+    (void)net.forward(in);
+}
+
+// Deltas and the batch-norm buffer are allocated by the first training pass
+// and resized on the way, so inference at other batch sizes and input sizes
+// (before training and between steps) must leave training bit-identical.
+TEST(Network, InferenceAtOtherShapesLeavesTrainingBitIdentical) {
+    Network fresh = delta_probe_net(2);
+    Network toggled = delta_probe_net(2);
+    Rng rng(21);
+    Tensor in(fresh.input_shape());
+    rng.fill_uniform(in.span(), 0.0f, 1.0f);
+    const std::vector<std::vector<GroundTruth>> truths = {
+        {GroundTruth{{0.3f, 0.3f, 0.3f, 0.3f}, 0}},
+        {GroundTruth{{0.7f, 0.6f, 0.25f, 0.35f}, 0}}};
+
+    infer_at(toggled, 3, 32);
+    infer_at(toggled, 1, 24);
+    infer_at(toggled, 2, 16);
+    for (int step = 0; step < 4; ++step) {
+        if (step == 2) {
+            infer_at(toggled, 4, 24);
+            infer_at(toggled, 2, 16);
+        }
+        EXPECT_EQ(fresh.train_step(in, truths), toggled.train_step(in, truths))
+            << "step " << step;
+    }
+    ASSERT_EQ(fresh.num_layers(), toggled.num_layers());
+    for (int i = 0; i < static_cast<int>(fresh.num_layers()); ++i) {
+        const auto a = fresh.layer(i).params();
+        const auto b = toggled.layer(i).params();
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t p = 0; p < a.size(); ++p) {
+            EXPECT_EQ(a[p]->v, b[p]->v) << "layer " << i << " " << a[p]->name;
+            EXPECT_EQ(a[p]->g, b[p]->g) << "layer " << i << " " << a[p]->name;
+            EXPECT_EQ(a[p]->m, b[p]->m) << "layer " << i << " " << a[p]->name;
+        }
+        const auto sa = fresh.layer(i).serialized_stats();
+        const auto sb = toggled.layer(i).serialized_stats();
+        ASSERT_EQ(sa.size(), sb.size());
+        for (std::size_t k = 0; k < sa.size(); ++k) EXPECT_EQ(*sa[k], *sb[k]) << "layer " << i;
+    }
 }
 
 TEST(Network, FoldBatchnormKeepsEvalBehaviour) {

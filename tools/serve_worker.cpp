@@ -92,11 +92,11 @@ Args parse_args(int argc, char** argv) {
     return args;
 }
 
-int run(int argc, char** argv) {
+/// The network the service clones its reference and replicas from. The
+/// service is built from it as a temporary, so the process serves holding
+/// two networks (reference and replica), not a third idle copy.
+dronet::Network build_prototype(const Args& args) {
     using namespace dronet;
-    const Args args = parse_args(argc, argv);
-    set_gemm_threads(args.gemm_threads);
-
     const ModelId id = model_from_string(args.model);
     Network net = [&] {
         if (args.filter_scale == 1.0f) {
@@ -107,6 +107,13 @@ int run(int argc, char** argv) {
     }();
     net.set_batch(1);
     if (net.config().width != args.size) net.resize_input(args.size, args.size);
+    return net;
+}
+
+int run(int argc, char** argv) {
+    using namespace dronet;
+    const Args args = parse_args(argc, argv);
+    set_gemm_threads(args.gemm_threads);
 
     serve::ServiceConfig sc;
     sc.workers = args.workers;
@@ -120,7 +127,7 @@ int run(int argc, char** argv) {
     if (args.score_threshold >= 0.0f) {
         sc.pipeline.eval.score_threshold = args.score_threshold;
     }
-    serve::DetectionService service(net, sc);
+    serve::DetectionService service(build_prototype(args), sc);
 
     g_serve_fd.store(args.fd, std::memory_order_relaxed);
     struct sigaction sa = {};
