@@ -119,6 +119,13 @@ ctest --test-dir build-tsan -L chaos "${sanitized[@]}" --output-on-failure 2>&1 
   --size 96 --deadline-ms 30000 --retries 1 \
   --inject "network.forward:kill:nth=5:times=1" 2>&1 \
   | tee tsan_chaos_bench_output.txt
+# A kill at queue.pop fires after the batch is taken: every frame fails
+# ("worker died") and each worker restarts, so the run ends instead of
+# restarting back to back without ever taking a frame (the timeout turns a
+# hang into a failure).
+timeout 120 ./build-tsan/tools/serve_bench --workers 2 --streams 2 \
+  --frames-per-stream 4 --size 96 --inject "queue.pop:kill:every=1" 2>&1 \
+  | tee tsan_queue_pop_kill_output.txt
 
 # Model lifecycle stage under TSan (docs/robustness.md, "Model lifecycle"):
 # worker threads keep serving while reload_checkpoint canaries and swaps the

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "io/fdio.hpp"
 
@@ -121,6 +123,7 @@ struct DetectGeometry {
 static_assert(sizeof(DetectGeometry) == 8, "detect geometry layout must be packed");
 
 DetectGeometry geometry_of(const Image& frame) {
+    if (std::string bad = frame_limit_error(frame); !bad.empty()) throw BadRequest(bad);
     return {static_cast<std::uint16_t>(frame.width()),
             static_cast<std::uint16_t>(frame.height()),
             static_cast<std::uint16_t>(frame.channels()), 0};
@@ -145,6 +148,25 @@ constexpr const char* kDetectRequestTruncated =
     "protocol: payload truncated at detect-request";
 
 }  // namespace
+
+std::string frame_limit_error(const Image& frame) {
+    constexpr int kMaxSide = std::numeric_limits<std::uint16_t>::max();
+    for (const auto& [name, side] : {std::pair{"width", frame.width()},
+                                     std::pair{"height", frame.height()},
+                                     std::pair{"channels", frame.channels()}}) {
+        if (side > kMaxSide) {
+            return std::string("protocol: frame ") + name + " " + std::to_string(side) +
+                   " exceeds the wire's limit of " + std::to_string(kMaxSide);
+        }
+    }
+    const std::uint64_t payload =
+        sizeof(DetectGeometry) + std::uint64_t{frame.size()} * sizeof(float);
+    if (payload > kMaxPayloadBytes) {
+        return "protocol: detect-request payload of " + std::to_string(payload) +
+               " bytes exceeds the " + std::to_string(kMaxPayloadBytes) + "-byte cap";
+    }
+    return {};
+}
 
 const char* to_string(Opcode op) noexcept {
     switch (op) {

@@ -114,6 +114,12 @@ struct BadRequest : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
+/// What keeps `frame` off the wire, naming the limit: a side over 65535 (the
+/// geometry's u16 fields) or a payload over kMaxPayloadBytes. Empty when the
+/// frame fits. encode_detect_request and write_detect_request throw it as
+/// BadRequest before writing anything.
+[[nodiscard]] std::string frame_limit_error(const Image& frame);
+
 /// Sends `frame` as a detect-request frame: header, geometry and pixels in
 /// one gather write straight from the Image, with no payload buffer. The
 /// bytes equal write_frame(fd, kDetectRequest, id, encode_detect_request(frame)).

@@ -21,6 +21,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// send() deadlines: wait for a held socket as long as it takes, or not at all.
+constexpr Clock::time_point kForever = Clock::time_point::max();
+constexpr Clock::time_point kNoWait{};
+
 double ms_since(Clock::time_point t) {
     return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
 }
@@ -167,6 +171,9 @@ void Router::spawn_into_slot(std::size_t slot) {
     }
     ::close(sv[1]);
     sync::MutexLock lock(mu_);  // publish fd/pid to accessors
+    // A respawn replaces a dead worker's socket: a write still on it fails
+    // at once now its peer is gone, and must end before that fd closes.
+    while (w.writing) socket_cv_.wait(mu_);
     w.fd.reset(sv[0]);
     w.pid = pid;
 }
@@ -178,6 +185,7 @@ void Router::start_receiver(Worker& w) {
 std::future<serve::ServeResult> Router::submit(std::uint64_t client_id,
                                                Image frame) {
     const auto now = Clock::now();
+    const std::string wire_error = frame_limit_error(frame);
     PendingRequest p;
     p.client_id = client_id;
     p.retries_left = config_.max_retries;
@@ -202,7 +210,10 @@ std::future<serve::ServeResult> Router::submit(std::uint64_t client_id,
         ClientState& c = clients_[client_id];
         const std::uint64_t client_inflight = c.inflight++;
         ++total_pending_;
-        if (stopping_) {
+        if (!wire_error.empty()) {
+            shed_status = serve::ServeStatus::kFailed;
+            shed_error = wire_error;
+        } else if (stopping_) {
             shed_status = serve::ServeStatus::kShutdown;
             shed_error = "router stopped";
         } else {
@@ -266,14 +277,9 @@ std::future<serve::ServeResult> Router::submit(std::uint64_t client_id,
         resolve_shed(std::move(p), shed_status, std::move(shed_error));
         return fut;
     }
-    try {
-        sync::MutexLock wl(target->write_mu);
-        write_detect_request(target->fd.get(), id, *pixels);
-    } catch (const std::exception&) {
-        // The pending frame is registered on `target`; taking the worker out
-        // re-dispatches or sheds it (never abandons it).
-        take_worker_out(*target, WorkerState::kDead, "request write failed");
-    }
+    // The frame is registered on `target`: if it is never written, the
+    // worker's loss re-dispatches or sheds it (never abandons it).
+    send(*target, kForever, [&](int fd) { write_detect_request(fd, id, *pixels); });
     return fut;
 }
 
@@ -340,23 +346,20 @@ void Router::note_first_submit_locked() {
 void Router::receiver_loop(Worker& w, int fd) {
     try {
         Frame frame;
-        while (read_frame(fd, frame)) {
+        // A shutdown-ack is the worker's last frame: it has answered and
+        // written everything, so its connection ends here.
+        while (read_frame(fd, frame) &&
+               static_cast<Opcode>(frame.header.opcode) != Opcode::kShutdownAck) {
             switch (static_cast<Opcode>(frame.header.opcode)) {
                 case Opcode::kDetectResponse:
                 case Opcode::kError:
-                    handle_detect_response(w, frame);
+                case Opcode::kStatsResponse:
+                case Opcode::kReloadResponse:
+                    handle_reply(w, frame);
                     break;
                 case Opcode::kPong:
                     handle_pong(w, frame);
                     break;
-                case Opcode::kStatsResponse:
-                    handle_stats_response(w, frame);
-                    break;
-                case Opcode::kReloadResponse:
-                    handle_reload_response(w, frame);
-                    break;
-                case Opcode::kShutdownAck:
-                    break;  // the worker's final frame; EOF follows
                 default:
                     break;  // tolerated: never wedge the fleet on one frame
             }
@@ -364,38 +367,52 @@ void Router::receiver_loop(Worker& w, int fd) {
     } catch (const std::exception&) {
         // Corrupt stream or socket error: same handling as a closed peer.
     }
-    take_worker_out(w, WorkerState::kDead, "connection closed");
+    take_worker_out(w, WorkerState::kDead);
 }
 
-void Router::handle_detect_response(Worker& w, const Frame& frame) {
+void Router::handle_reply(Worker& w, Frame& frame) {
+    const auto op = static_cast<Opcode>(frame.header.opcode);
+    const std::uint64_t id = frame.header.request_id;
     WireDetectResult wire;
-    if (static_cast<Opcode>(frame.header.opcode) == Opcode::kError) {
+    if (op == Opcode::kDetectResponse) {
+        wire = decode_detect_response(frame.payload);
+    } else if (op == Opcode::kError) {
         wire.status = serve::ServeStatus::kFailed;
         wire.error = decode_error(frame.payload);
-    } else {
-        wire = decode_detect_response(frame.payload);
     }
-    PendingRequest p;
+    std::optional<PendingRequest> detect;
+    std::optional<std::promise<Frame>> call;
     {
         sync::MutexLock lock(mu_);
-        // Any answered frame proves liveness as well as a pong does.
+        // Any answered request proves liveness as well as a pong does.
         if (w.state == WorkerState::kUp) w.breaker.succeed();
-        auto it = w.pending.find(frame.header.request_id);
-        if (it == w.pending.end()) return;  // stale: re-dispatched or shed
-        p = std::move(it->second);
-        w.pending.erase(it);
-        if (w.inflight > 0) w.inflight--;
-        finish_locked(p.client_id, wire.status);
+        const auto it = w.pending.find(id);
+        const bool detect_reply = op == Opcode::kDetectResponse || op == Opcode::kError;
+        if (detect_reply && it != w.pending.end()) {
+            detect = std::move(it->second);
+            w.pending.erase(it);
+            if (w.inflight > 0) w.inflight--;
+            finish_locked(detect->client_id, wire.status);
+        } else if (const auto c = w.calls.find(id); c != w.calls.end()) {
+            call = std::move(c->second);
+            w.calls.erase(c);
+        }
+        // Neither: stale (re-dispatched, shed, or its call timed out).
     }
+    if (call) {
+        call->set_value(std::move(frame));  // the caller decodes it
+        return;
+    }
+    if (!detect) return;
     capacity_cv_.notify_all();
     serve::ServeResult r;
     r.status = wire.status;
-    r.frame.frame_index = p.frame_index;  // fleet-wide index, not worker-local
+    r.frame.frame_index = detect->frame_index;  // fleet-wide index, not worker-local
     r.frame.detections = std::move(wire.detections);
-    r.frame.latency_ms = ms_since(p.submit_time);
+    r.frame.latency_ms = ms_since(detect->submit_time);
     r.timings = wire.timings;
     r.error = std::move(wire.error);
-    p.promise.set_value(std::move(r));
+    detect->promise.set_value(std::move(r));
 }
 
 void Router::handle_pong(Worker& w, const Frame& frame) {
@@ -418,45 +435,9 @@ void Router::handle_pong(Worker& w, const Frame& frame) {
     if (readmitted) capacity_cv_.notify_all();
 }
 
-void Router::handle_stats_response(Worker& w, const Frame& frame) {
-    std::promise<WireStats> promise;
-    {
-        sync::MutexLock lock(mu_);
-        auto it = w.pending_stats.find(frame.header.request_id);
-        if (it == w.pending_stats.end()) return;  // probe already timed out
-        promise = std::move(it->second);
-        w.pending_stats.erase(it);
-    }
-    try {
-        promise.set_value(decode_stats_response(frame.payload));
-    } catch (...) {
-        promise.set_exception(std::current_exception());
-    }
-}
-
-void Router::handle_reload_response(Worker& w, const Frame& frame) {
-    std::promise<WireReloadResponse> promise;
-    {
-        sync::MutexLock lock(mu_);
-        // A reload reply proves liveness as well as a pong does.
-        if (w.state == WorkerState::kUp) w.breaker.succeed();
-        auto it = w.pending_reloads.find(frame.header.request_id);
-        if (it == w.pending_reloads.end()) return;  // probe already timed out
-        promise = std::move(it->second);
-        w.pending_reloads.erase(it);
-    }
-    try {
-        promise.set_value(decode_reload_response(frame.payload));
-    } catch (...) {
-        promise.set_exception(std::current_exception());
-    }
-}
-
-void Router::take_worker_out(Worker& w, WorkerState to_state, const char* reason) {
-    (void)reason;
+void Router::take_worker_out(Worker& w, WorkerState to_state) {
     std::vector<PendingRequest> stranded;
-    std::vector<std::promise<WireStats>> broken_stats;
-    std::vector<std::promise<WireReloadResponse>> broken_reloads;
+    std::map<std::uint64_t, std::promise<Frame>> broken;
     {
         sync::MutexLock lock(mu_);
         if (w.state == WorkerState::kDead) return;
@@ -474,20 +455,11 @@ void Router::take_worker_out(Worker& w, WorkerState to_state, const char* reason
         for (auto& [id, p] : w.pending) stranded.push_back(std::move(p));
         w.pending.clear();
         w.inflight = 0;
-        for (auto& [id, sp] : w.pending_stats) broken_stats.push_back(std::move(sp));
-        w.pending_stats.clear();
-        for (auto& [id, rp] : w.pending_reloads) broken_reloads.push_back(std::move(rp));
-        w.pending_reloads.clear();
+        broken.swap(w.calls);
     }
     capacity_cv_.notify_all();
-    for (auto& sp : broken_stats) {
-        sp.set_exception(std::make_exception_ptr(
-            std::runtime_error("cluster: worker lost before stats reply")));
-    }
-    for (auto& rp : broken_reloads) {
-        rp.set_exception(std::make_exception_ptr(
-            std::runtime_error("cluster: worker lost before reload reply")));
-    }
+    socket_cv_.notify_all();  // a dead worker's socket is waited for no more
+    broken.clear();  // unanswered: each call's future throws broken_promise
     redispatch_or_shed(std::move(stranded));
 }
 
@@ -515,59 +487,86 @@ void Router::redispatch_or_shed(std::vector<PendingRequest> stranded) {
                          "worker lost; no re-dispatch budget or healthy worker");
             continue;
         }
-        try {
-            sync::MutexLock wl(target->write_mu);
-            write_detect_request(target->fd.get(), id, *pixels);
-        } catch (const std::exception&) {
-            // Recursion bounded by retries_left and the worker count; the
-            // just-registered frame is in `target`'s pending map, so the
-            // nested call owns it from here.
-            take_worker_out(*target, WorkerState::kDead, "retry write failed");
-        }
+        send(*target, kForever, [&](int fd) { write_detect_request(fd, id, *pixels); });
     }
 }
 
-void Router::send_ping(Worker& w) {
-    std::uint64_t id = 0;
+template <typename Write>
+void Router::send(Worker& w, Clock::time_point deadline, Write write) {
     {
         sync::MutexLock lock(mu_);
-        if (w.state == WorkerState::kDead) return;
-        id = next_request_id_++;
-        w.ping_id = id;
-        w.ping_sent_at = Clock::now();
+        while (w.writing && w.state != WorkerState::kDead) {
+            if (deadline == kForever) {
+                socket_cv_.wait(mu_);
+            } else if (socket_cv_.wait_until(mu_, deadline) == std::cv_status::timeout) {
+                break;
+            }
+        }
+        if (w.writing || w.state == WorkerState::kDead) return;
+        w.writing = true;
     }
-    // A request write stuck on a worker that stopped reading holds write_mu;
-    // waiting behind it would wedge this thread for the whole fleet. The ping
-    // then counts as sent and unanswered, so that worker goes overdue and is
-    // ejected, which re-dispatches its frames.
-    if (!w.write_mu.try_lock()) return;
-    bool failed = false;
     try {
-        write_frame(w.fd.get(), Opcode::kPing, id, nullptr, 0);
+        write(w.fd.get());
     } catch (const std::exception&) {
-        failed = true;
+        // The stream may now end inside a frame. Shut the socket down so the
+        // receiver reads EOF and takes the worker out (so a respawn's join
+        // returns), and every later write fails at once.
+        ::shutdown(w.fd.get(), SHUT_RDWR);
     }
-    w.write_mu.unlock();
-    if (failed) take_worker_out(w, WorkerState::kDead, "ping write failed");
+    {
+        sync::MutexLock lock(mu_);
+        w.writing = false;
+    }
+    socket_cv_.notify_all();
+}
+
+Router::Call Router::start_call(Worker& w, Opcode op,
+                                const std::vector<std::uint8_t>& payload,
+                                Clock::time_point deadline) {
+    Call c{&w, 0, {}};
+    {
+        sync::MutexLock lock(mu_);
+        if (w.state == WorkerState::kDead) return c;
+        c.id = next_request_id_++;
+        c.reply = w.calls[c.id].get_future();
+    }
+    // Not sent means no reply: finish_call waits out the same deadline.
+    send(w, deadline, [&](int fd) { write_frame(fd, op, c.id, payload); });
+    return c;
+}
+
+std::optional<Frame> Router::finish_call(Call& c, Clock::time_point deadline) {
+    if (!c.reply.valid()) return std::nullopt;
+    if (c.reply.wait_until(deadline) != std::future_status::ready) {
+        sync::MutexLock lock(mu_);
+        c.worker->calls.erase(c.id);
+        return std::nullopt;
+    }
+    try {
+        return c.reply.get();
+    } catch (const std::exception&) {
+        return std::nullopt;  // worker lost before its reply
+    }
 }
 
 void Router::health_loop() {
     for (;;) {
         {
-            sync::MutexLock hl(health_mu_);
+            sync::MutexLock lock(mu_);
             const auto tick_deadline =
                 Clock::now() +
                 std::chrono::milliseconds(config_.health_interval_ms);
-            while (!health_stop_ &&
-                   health_cv_.wait_until(health_mu_, tick_deadline) !=
+            while (!stopping_ &&
+                   health_cv_.wait_until(mu_, tick_deadline) !=
                        std::cv_status::timeout) {
             }
-            if (health_stop_) return;
+            if (stopping_) return;
         }
         for (auto& wp : workers_) {
             Worker& w = *wp;
             enum class Action { kNone, kPing, kEject, kRespawn };
             Action action = Action::kNone;
+            std::uint64_t ping_id = 0;
             {
                 sync::MutexLock lock(mu_);
                 const auto now = Clock::now();
@@ -610,22 +609,30 @@ void Router::health_loop() {
                         }
                         break;
                 }
+                if (action == Action::kPing) {
+                    ping_id = w.ping_id = next_request_id_++;
+                    w.ping_sent_at = now;
+                }
             }
             switch (action) {
                 case Action::kNone:
                     break;
                 case Action::kPing:
-                    send_ping(w);
+                    // A ping never waits for the socket: behind a stuck
+                    // request write it counts as sent and unanswered, so that
+                    // worker goes overdue and is ejected, which re-dispatches
+                    // its frames, instead of wedging this thread.
+                    send(w, kNoWait, [&](int fd) {
+                        write_frame(fd, Opcode::kPing, ping_id, nullptr, 0);
+                    });
                     break;
                 case Action::kEject:
-                    take_worker_out(w, WorkerState::kEjected,
-                                    "health checks failed");
+                    take_worker_out(w, WorkerState::kEjected);
                     break;
                 case Action::kRespawn:
                     try {
                         if (w.receiver.joinable()) w.receiver.join();
                         reap_child(w.pid, 100);
-                        w.fd.reset();
                         spawn_into_slot(w.slot);
                         {
                             sync::MutexLock lock(mu_);
@@ -659,48 +666,45 @@ void Router::stop() {
         stopping_ = true;
     }
     capacity_cv_.notify_all();
-    // Health thread first: no more pings or respawns while tearing down.
-    {
-        sync::MutexLock hl(health_mu_);
-        health_stop_ = true;
-    }
     health_cv_.notify_all();
+    // Health thread first: no more pings or respawns while tearing down.
     if (health_.joinable()) health_.join();
-    // Ask every connected worker to drain and exit.
+    // Ask every connected worker to drain and exit, then give the workers
+    // the same bounded window to answer their frames and acknowledge. A
+    // worker's receiver takes it out at the ack, so severing the rest below
+    // never cuts off a reply a worker is still writing.
+    const auto deadline =
+        Clock::now() + std::chrono::milliseconds(config_.shutdown_timeout_ms);
     for (auto& wp : workers_) {
-        Worker& w = *wp;
-        bool connected = false;
-        {
-            sync::MutexLock lock(mu_);
-            connected = w.state != WorkerState::kDead;
-        }
-        if (!connected) continue;
-        try {
-            sync::MutexLock wl(w.write_mu);
-            write_frame(w.fd.get(), Opcode::kShutdown, 0, nullptr, 0);
-        } catch (const std::exception&) {
-            take_worker_out(w, WorkerState::kDead, "shutdown write failed");
-        }
+        send(*wp, deadline,
+             [](int fd) { write_frame(fd, Opcode::kShutdown, 0, nullptr, 0); });
     }
-    // Give in-flight frames a bounded window to come back answered.
     {
         sync::MutexLock lock(mu_);
-        const auto deadline =
-            Clock::now() +
-            std::chrono::milliseconds(config_.shutdown_timeout_ms);
-        while (total_pending_ != 0 &&
-               drained_cv_.wait_until(mu_, deadline) !=
-                   std::cv_status::timeout) {
+        const auto connected = [&] {
+            return std::any_of(workers_.begin(), workers_.end(), [](const auto& w) {
+                return w->state != WorkerState::kDead;
+            });
+        };
+        while (connected() &&
+               socket_cv_.wait_until(mu_, deadline) != std::cv_status::timeout) {
         }
     }
     // Sever connections: blocked receivers wake with EOF and their
     // take_worker_out resolves any straggler as kShutdown (stopping_ is set,
-    // so nothing is re-dispatched and nothing is abandoned).
+    // so nothing is re-dispatched and nothing is abandoned). A write still
+    // in progress fails at once; it must end before its fd closes.
     for (auto& wp : workers_) {
         if (wp->fd) ::shutdown(wp->fd.get(), SHUT_RDWR);
     }
     for (auto& wp : workers_) {
         if (wp->receiver.joinable()) wp->receiver.join();
+    }
+    {
+        sync::MutexLock lock(mu_);
+        for (auto& wp : workers_) {
+            while (wp->writing) socket_cv_.wait(mu_);
+        }
     }
     for (auto& wp : workers_) wp->fd.reset();
     for (auto& wp : workers_) {
@@ -710,32 +714,11 @@ void Router::stop() {
 }
 
 FleetStats Router::fleet_stats(std::int64_t timeout_ms) {
-    struct Probe {
-        Worker* worker;
-        std::uint64_t id;
-        std::future<WireStats> fut;
-    };
-    std::vector<Probe> probes;
+    // Every probe goes out first; then all replies share one deadline.
+    const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+    std::vector<Call> probes;
     for (auto& wp : workers_) {
-        Worker& w = *wp;
-        std::uint64_t id = 0;
-        std::future<WireStats> fut;
-        {
-            sync::MutexLock lock(mu_);
-            if (w.state == WorkerState::kDead) continue;
-            id = next_request_id_++;
-            std::promise<WireStats> promise;
-            fut = promise.get_future();
-            w.pending_stats.emplace(id, std::move(promise));
-        }
-        try {
-            sync::MutexLock wl(w.write_mu);
-            write_frame(w.fd.get(), Opcode::kStatsRequest, id, nullptr, 0);
-        } catch (const std::exception&) {
-            take_worker_out(w, WorkerState::kDead, "stats write failed");
-            continue;  // the probe's promise was broken by take_worker_out
-        }
-        probes.push_back(Probe{&w, id, std::move(fut)});
+        probes.push_back(start_call(*wp, Opcode::kStatsRequest, {}, deadline));
     }
     FleetStats out;
     {
@@ -749,20 +732,18 @@ FleetStats Router::fleet_stats(std::int64_t timeout_ms) {
     }
     out.throughput_fps =
         out.wall_seconds > 0 ? static_cast<double>(out.ok) / out.wall_seconds : 0;
-    for (Probe& probe : probes) {
-        if (probe.fut.wait_for(std::chrono::milliseconds(timeout_ms)) !=
-            std::future_status::ready) {
-            sync::MutexLock lock(mu_);
-            probe.worker->pending_stats.erase(probe.id);
-            continue;
+    for (Call& probe : probes) {
+        const std::optional<Frame> reply = finish_call(probe, deadline);
+        if (!reply || static_cast<Opcode>(reply->header.opcode) != Opcode::kStatsResponse) {
+            continue;  // lost, late or refused: the router counters cover it
         }
         try {
-            WireStats ws = probe.fut.get();
+            WireStats ws = decode_stats_response(reply->payload);
             out.agg_completed += ws.completed;
             out.agg_throughput_fps += ws.throughput_fps;
             out.workers.push_back(std::move(ws));
         } catch (const std::exception&) {
-            // Worker died between write and reply; router counters cover it.
+            // A malformed stats reply leaves that worker out.
         }
     }
     return out;
@@ -770,35 +751,23 @@ FleetStats Router::fleet_stats(std::int64_t timeout_ms) {
 
 std::optional<WireReloadResponse> Router::request_reload(
     Worker& w, const WireReloadRequest& req, std::int64_t timeout_ms) {
-    std::uint64_t id = 0;
-    std::future<WireReloadResponse> fut;
-    {
-        sync::MutexLock lock(mu_);
-        if (w.state == WorkerState::kDead) return std::nullopt;
-        id = next_request_id_++;
-        std::promise<WireReloadResponse> promise;
-        fut = promise.get_future();
-        w.pending_reloads.emplace(id, std::move(promise));
-    }
-    const std::vector<std::uint8_t> payload = encode_reload_request(req);
+    const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+    Call c = start_call(w, Opcode::kReloadRequest, encode_reload_request(req), deadline);
+    const std::optional<Frame> reply = finish_call(c, deadline);
+    if (!reply) return std::nullopt;
     try {
-        sync::MutexLock wl(w.write_mu);
-        write_frame(w.fd.get(), Opcode::kReloadRequest, id, payload);
+        switch (static_cast<Opcode>(reply->header.opcode)) {
+            case Opcode::kReloadResponse:
+                return decode_reload_response(reply->payload);
+            case Opcode::kError:
+                return WireReloadResponse{.ok = false,
+                                          .model_version = 0,
+                                          .error = decode_error(reply->payload)};
+            default:
+                return std::nullopt;
+        }
     } catch (const std::exception&) {
-        // The probe's promise was broken by take_worker_out.
-        take_worker_out(w, WorkerState::kDead, "reload write failed");
-        return std::nullopt;
-    }
-    if (fut.wait_for(std::chrono::milliseconds(timeout_ms)) !=
-        std::future_status::ready) {
-        sync::MutexLock lock(mu_);
-        w.pending_reloads.erase(id);
-        return std::nullopt;
-    }
-    try {
-        return fut.get();
-    } catch (const std::exception&) {
-        return std::nullopt;  // worker lost before the reply landed
+        return std::nullopt;  // a malformed reply
     }
 }
 

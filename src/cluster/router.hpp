@@ -95,8 +95,9 @@ struct RouterConfig {
     /// Re-dispatch budget for frames stranded on a dead/ejected worker;
     /// exhausted frames resolve kShutdown.
     int max_retries = 1;
-    /// stop(): how long to wait for workers to answer in-flight frames after
-    /// kShutdown before severing connections and resolving leftovers.
+    /// stop(): how long to wait for workers to answer in-flight frames and
+    /// acknowledge kShutdown before severing connections and resolving
+    /// leftovers.
     std::int64_t shutdown_timeout_ms = 5000;
 };
 
@@ -162,8 +163,9 @@ class Router {
     Router& operator=(const Router&) = delete;
 
     /// Dispatches one frame on behalf of `client_id`. Thread-safe. The future
-    /// always resolves (admission sheds and fleet failures included). Blocks
-    /// only when every healthy worker is at worker_inflight_limit.
+    /// always resolves (admission sheds and fleet failures included); a frame
+    /// the wire cannot carry (frame_limit_error) resolves kFailed at once.
+    /// Blocks only when every healthy worker is at worker_inflight_limit.
     [[nodiscard]] std::future<serve::ServeResult> submit(std::uint64_t client_id,
                                                          Image frame);
 
@@ -171,13 +173,15 @@ class Router {
     /// quiescent, as with DetectionService::drain().
     void drain();
 
-    /// Graceful shutdown: workers get kShutdown, in-flight frames are awaited
-    /// up to shutdown_timeout_ms, stragglers resolve kShutdown, spawned
+    /// Graceful shutdown: workers get kShutdown and are awaited up to
+    /// shutdown_timeout_ms (a socket a stuck write holds no longer) to answer
+    /// their frames and acknowledge, stragglers resolve kShutdown, spawned
     /// processes are reaped (SIGKILL after the timeout). Idempotent.
     void stop();
 
-    /// Polls every dispatchable worker for its ServeStats (bounded by
-    /// `timeout_ms` each) and merges with the router counters.
+    /// Polls every connected worker for its ServeStats and merges the
+    /// answers with the router counters. Returns within `timeout_ms`: every
+    /// probe is sent and answered against one deadline, or left out.
     [[nodiscard]] FleetStats fleet_stats(std::int64_t timeout_ms = 2000);
 
     [[nodiscard]] std::size_t slots() const noexcept;
@@ -203,6 +207,8 @@ class Router {
                                                std::int64_t timeout_ms = 30000);
 
   private:
+    using Clock = std::chrono::steady_clock;
+
     struct PendingRequest {
         std::promise<serve::ServeResult> promise;
         std::uint64_t client_id = 0;
@@ -211,7 +217,7 @@ class Router {
         std::shared_ptr<const Image> frame;
         int frame_index = 0;
         int retries_left = 0;
-        std::chrono::steady_clock::time_point submit_time;
+        Clock::time_point submit_time;
     };
 
     struct Worker {
@@ -222,48 +228,70 @@ class Router {
         io::UniqueFd fd;
         pid_t pid = -1;  ///< -1 for adopted workers
         std::thread receiver;
-        sync::Mutex write_mu{"Router::Worker::write_mu"};  ///< serializes frames onto the socket
 
         // Everything below is guarded by Router::mu_. (The thread-safety
         // analysis cannot express GUARDED_BY on a nested struct's fields
         // referring to the outer class's mutex; the *_locked methods carry
         // REQUIRES(mu_) instead.)
         WorkerState state = WorkerState::kUp;
+        /// A send() holds the socket; `fd` is neither written nor replaced
+        /// by anyone else until it is released.
+        bool writing = false;
         std::size_t inflight = 0;
         std::map<std::uint64_t, PendingRequest> pending;
-        std::map<std::uint64_t, std::promise<WireStats>> pending_stats;
-        std::map<std::uint64_t, std::promise<WireReloadResponse>> pending_reloads;
+        /// Stats and reload requests awaiting their reply frame.
+        std::map<std::uint64_t, std::promise<Frame>> calls;
         /// Open while kEjected, half-open while kHalfOpen; reset on death.
         serve::Breaker breaker;
         std::uint64_t ping_id = 0;  ///< outstanding ping's request id; 0 = none
-        std::chrono::steady_clock::time_point ping_sent_at;
+        Clock::time_point ping_sent_at;
         WorkerGauges gauges;  ///< from the last pong
+    };
+
+    /// A stats or reload request in flight; `reply` is invalid when the
+    /// worker was dead at the start.
+    struct Call {
+        Worker* worker = nullptr;
+        std::uint64_t id = 0;
+        std::future<Frame> reply;
     };
 
     struct ClientState {
         std::uint64_t inflight = 0;
         double tokens = 0;
-        std::chrono::steady_clock::time_point last_refill;
+        Clock::time_point last_refill;
         bool initialized = false;
     };
 
     void spawn_into_slot(std::size_t slot);       // mu_ NOT held
     void start_receiver(Worker& w);
     void receiver_loop(Worker& w, int fd);
-    void handle_detect_response(Worker& w, const Frame& frame);
+    /// Resolves the detect frame or call a reply (an error frame included)
+    /// answers, by request id.
+    void handle_reply(Worker& w, Frame& frame);
     void handle_pong(Worker& w, const Frame& frame);
-    void handle_stats_response(Worker& w, const Frame& frame);
-    void handle_reload_response(Worker& w, const Frame& frame);
+    /// The one way to a worker: claims `w`'s socket, waiting for the write
+    /// that holds it until `deadline` at most, then runs `write(fd)` outside
+    /// mu_. Writes nothing to a dead worker. A failed write shuts the socket
+    /// down, so the receiver reads EOF and marks the worker dead. mu_ NOT held.
+    template <typename Write>
+    void send(Worker& w, Clock::time_point deadline, Write write);
+    /// Registers a stats or reload request on `w` and sends it by `deadline`.
+    [[nodiscard]] Call start_call(Worker& w, Opcode op,
+                                  const std::vector<std::uint8_t>& payload,
+                                  Clock::time_point deadline);
+    /// The reply frame of `c` by `deadline`; nullopt when the worker was lost
+    /// or the deadline passed (a later reply is then dropped). mu_ NOT held.
+    [[nodiscard]] std::optional<Frame> finish_call(Call& c, Clock::time_point deadline);
     /// Sends one reload/rollback request and awaits the response (bounded by
     /// `timeout_ms`). nullopt = worker dead, write failed, timed out, or lost
-    /// mid-reload. mu_ NOT held.
+    /// mid-reload; a worker's error frame is a failed response. mu_ NOT held.
     [[nodiscard]] std::optional<WireReloadResponse> request_reload(
         Worker& w, const WireReloadRequest& req, std::int64_t timeout_ms);
     void health_loop();
-    void send_ping(Worker& w);
     /// Marks the worker dead/ejected and strands its in-flight work.
     /// `to_state` is kDead or kEjected. mu_ NOT held.
-    void take_worker_out(Worker& w, WorkerState to_state, const char* reason);
+    void take_worker_out(Worker& w, WorkerState to_state);
     /// Re-dispatches stranded frames or resolves them kShutdown. mu_ NOT held.
     void redispatch_or_shed(std::vector<PendingRequest> stranded);
     /// Picks a dispatch target under mu_; nullptr when none is eligible.
@@ -287,6 +315,8 @@ class Router {
     mutable sync::Mutex mu_{"Router::mu"};
     sync::CondVar capacity_cv_;  ///< a worker slot freed / state change
     sync::CondVar drained_cv_;   ///< pending count hit zero
+    sync::CondVar socket_cv_;    ///< a socket was released / a worker died
+    sync::CondVar health_cv_;    ///< stopping_ was set
     bool stopping_ GUARDED_BY(mu_) = false;
     std::uint64_t next_request_id_ GUARDED_BY(mu_) = 1;
     int next_frame_index_ GUARDED_BY(mu_) = 0;
@@ -296,13 +326,10 @@ class Router {
     // Router counters (snapshot into FleetStats).
     FleetStats counters_ GUARDED_BY(mu_);
     bool clock_started_ GUARDED_BY(mu_) = false;
-    std::chrono::steady_clock::time_point first_submit_ GUARDED_BY(mu_);
-    std::chrono::steady_clock::time_point last_resolution_ GUARDED_BY(mu_);
+    Clock::time_point first_submit_ GUARDED_BY(mu_);
+    Clock::time_point last_resolution_ GUARDED_BY(mu_);
 
     std::thread health_;
-    sync::Mutex health_mu_{"Router::health_mu"};
-    sync::CondVar health_cv_;
-    bool health_stop_ GUARDED_BY(health_mu_) = false;
 
     sync::Mutex stop_mu_{"Router::stop_mu"};  ///< serializes stop() callers
     sync::Mutex rollout_mu_{"Router::rollout_mu"};  ///< one rolling reload at a time

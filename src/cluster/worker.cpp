@@ -91,10 +91,15 @@ void WorkerServer::resolver_loop() {
             pending->result.wait();
             continue;
         }
-        serve::ServeResult r;
+        // Shared, so this thread owns the result (or the exception it holds)
+        // until the reply is written: future::get() releases it before the
+        // handler reads the message, and the service thread may then free it
+        // through a reference count the thread sanitizer cannot see.
+        const std::shared_future<serve::ServeResult> result = pending->result.share();
+        const serve::ServeResult* r = nullptr;
         std::optional<std::string> error;
         try {
-            r = pending->result.get();
+            r = &result.get();
         } catch (const std::exception& e) {
             // A frame the service cannot preprocess (an unsupported channel
             // count) resolves as an exception. It is answered kError: thrown
@@ -107,7 +112,7 @@ void WorkerServer::resolver_loop() {
                 write_frame(fd_, Opcode::kError, pending->request_id,
                             encode_error(*error));
             } else {
-                respond(pending->request_id, r);
+                respond(pending->request_id, *r);
             }
         } catch (const std::exception&) {
             // Peer vanished mid-stream; keep draining futures so the service

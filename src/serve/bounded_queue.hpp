@@ -99,7 +99,6 @@ class BoundedQueue {
     std::size_t pop_batch(std::vector<T>& out, std::size_t max_items,
                           std::chrono::microseconds linger) EXCLUDES(mu_) {
         if (max_items == 0) return 0;
-        DRONET_FAULT_POINT(fault::kSiteQueuePop);  // before the lock: latency
         sync::MutexLock lock(mu_);
         while (!closed_ && items_.empty()) not_empty_.wait(mu_);
         if (items_.empty()) return 0;  // closed and drained
@@ -125,6 +124,9 @@ class BoundedQueue {
         // Potentially freed several slots; wake every blocked producer.
         if (taken > 1) not_full_.notify_all();
         else not_full_.notify_one();
+        // After the take, outside the lock: a kill or throw escapes with the
+        // items in `out`, which the consumer must fail; a latency delays it.
+        DRONET_FAULT_POINT(fault::kSiteQueuePop);
         return taken;
     }
 

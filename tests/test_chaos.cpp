@@ -513,6 +513,41 @@ TEST(Chaos, StopReturnsWithEveryFutureReadyWhileEveryForwardKills) {
     expect_accounting(snap);
 }
 
+// queue.pop fires after the batch is taken: a kill there escapes with the
+// frame the worker holds, which fails, and the worker restarts, so every
+// frame is taken once and stop() returns with the plan still armed. Fired
+// before the take, the same plan would never let a frame out of the queue.
+TEST(Chaos, QueuePopKillFailsTheTakenFrameAndRestarts) {
+    if (!fault::compiled_in()) GTEST_SKIP() << "DRONET_FAULTS is off";
+    Network net = build_model(ModelId::kDroNet, {.input_size = 96, .filter_scale = 0.35f});
+    serve::ServiceConfig sc;
+    sc.workers = 1;  // max_batch 1: one frame per pop, one restart per frame
+    sc.pipeline = low_threshold_pipeline();
+    DetectionService service(net, sc);
+    const DetectionDataset frames =
+        generate_dataset(benchmark_scene_config(96), 4, /*seed=*/7);
+
+    {
+        fault::ScopedFaultPlan plan("queue.pop:kill:every=1");
+        std::vector<std::future<ServeResult>> futures;
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            futures.push_back(service.submit(frames.image(i)));
+        }
+        for (auto& f : futures) {
+            // Bounded well below kFutureTimeout: a stuck queue fails fast.
+            ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+            const ServeResult r = f.get();
+            EXPECT_EQ(r.status, ServeStatus::kFailed);
+            EXPECT_NE(r.error.find("worker died"), std::string::npos) << r.error;
+        }
+        service.stop();
+    }
+    const ServeStatsSnapshot snap = service.stats();
+    EXPECT_EQ(snap.failed, frames.size());
+    EXPECT_EQ(snap.worker_restarts, frames.size());  // one restart per kill
+    expect_accounting(snap);
+}
+
 TEST(Chaos, TruncatedWeightsReadReportsExpectedVsActual) {
     if (!fault::compiled_in()) GTEST_SKIP() << "DRONET_FAULTS is off";
     const auto dir = std::filesystem::temp_directory_path() / "dronet_chaos_short";

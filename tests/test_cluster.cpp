@@ -354,6 +354,53 @@ TEST(Protocol, TruncatedPayloadDecodesAsError) {
 
 // ---- WorkerServer over a live socketpair ------------------------------------
 
+/// A WorkerServer serving `service` over `fd` on its own thread. It keeps
+/// what run() returned or threw, and when run() returns it shuts its end for
+/// writing, so the peer reads EOF after the last reply. The destructor shuts
+/// the socket down and joins: neither a stream error nor an ASSERT_* that
+/// returns early can end the binary in std::terminate.
+class ServerThread {
+  public:
+    ServerThread(serve::DetectionService& service, io::UniqueFd fd)
+        : fd_(std::move(fd)), thread_([this, &service] {
+              try {
+                  cluster::WorkerServer server(service, fd_.get());
+                  served_ = server.run();
+              } catch (const std::exception& e) {
+                  error_ = e.what();
+              } catch (...) {
+                  error_ = "unknown exception";
+              }
+              ::shutdown(fd_.get(), SHUT_WR);
+          }) {}
+    ~ServerThread() {
+        ::shutdown(fd_.get(), SHUT_RDWR);
+        join();
+    }
+    ServerThread(const ServerThread&) = delete;
+    ServerThread& operator=(const ServerThread&) = delete;
+
+    void join() {
+        if (thread_.joinable()) thread_.join();
+    }
+    /// What run() returned, once it has.
+    std::uint64_t served() {
+        join();
+        return served_;
+    }
+    /// What run() threw, once it has; empty when it returned.
+    std::string error() {
+        join();
+        return error_;
+    }
+
+  private:
+    io::UniqueFd fd_;
+    std::uint64_t served_ = 0;
+    std::string error_;
+    std::thread thread_;
+};
+
 TEST(WorkerServer, ServesDetectPingStatsAndShutdownAck) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
     serve::ServiceConfig sc;
@@ -362,12 +409,7 @@ TEST(WorkerServer, ServesDetectPingStatsAndShutdownAck) {
     serve::DetectionService service(net, sc);
 
     SocketPair sp;
-    std::atomic<std::uint64_t> served{0};
-    std::thread worker([&, fd = sp.b.get()] {
-        cluster::WorkerServer server(service, fd);
-        served.store(server.run());
-        sp.b.reset();  // our side of the hang-up, after the ack
-    });
+    ServerThread server(service, std::move(sp.b));
 
     const DetectionDataset frames =
         generate_dataset(benchmark_scene_config(64), 2, /*seed=*/3);
@@ -395,9 +437,9 @@ TEST(WorkerServer, ServesDetectPingStatsAndShutdownAck) {
             }
         }
     }
-    worker.join();
+    EXPECT_EQ(server.served(), 2u);
+    EXPECT_EQ(server.error(), "");
     service.stop();
-    EXPECT_EQ(served.load(), 2u);
     EXPECT_TRUE(got_ack);
     ASSERT_EQ(replies.size(), 4u);
     EXPECT_EQ(replies[101], Opcode::kDetectResponse);
@@ -413,11 +455,7 @@ TEST(WorkerServer, MalformedDetectRequestGetsErrorReply) {
     serve::DetectionService service(net, sc);
 
     SocketPair sp;
-    std::thread worker([&, fd = sp.b.get()] {
-        cluster::WorkerServer server(service, fd);
-        (void)server.run();
-        sp.b.reset();
-    });
+    ServerThread server(service, std::move(sp.b));
     cluster::write_frame(sp.a.get(), Opcode::kDetectRequest, 7,
                          std::vector<std::uint8_t>{1, 2, 3});  // truncated
     cluster::write_frame(sp.a.get(), Opcode::kShutdown, 0, nullptr, 0);
@@ -431,7 +469,7 @@ TEST(WorkerServer, MalformedDetectRequestGetsErrorReply) {
                       std::string::npos);
         }
     }
-    worker.join();
+    EXPECT_EQ(server.error(), "");
     service.stop();
     EXPECT_TRUE(got_error);
 }
@@ -443,12 +481,7 @@ TEST(WorkerServer, BadGeometryIsAnsweredAndTheNextRequestServed) {
     serve::DetectionService service(net, sc);
 
     SocketPair sp;
-    std::atomic<std::uint64_t> served{0};
-    std::thread worker([&, fd = sp.b.get()] {
-        cluster::WorkerServer server(service, fd);
-        served.store(server.run());
-        sp.b.reset();
-    });
+    ServerThread server(service, std::move(sp.b));
     const std::vector<BadGeometry> cases = bad_geometries();
     const Image good = patterned_image(16, 16, 3, 1.0f);
     std::uint64_t id = 1;
@@ -464,9 +497,9 @@ TEST(WorkerServer, BadGeometryIsAnsweredAndTheNextRequestServed) {
             replies[f.header.request_id] = f;
         }
     }
-    worker.join();
+    EXPECT_EQ(server.served(), cases.size());
+    EXPECT_EQ(server.error(), "");
     service.stop();
-    EXPECT_EQ(served.load(), cases.size());
     ASSERT_EQ(replies.size(), 2 * cases.size());
     id = 1;
     for (const BadGeometry& bad : cases) {
@@ -491,11 +524,7 @@ TEST(WorkerServer, UnsupportedChannelCountGetsErrorReply) {
     serve::DetectionService service(net, sc);
 
     SocketPair sp;
-    std::thread worker([&, fd = sp.b.get()] {
-        cluster::WorkerServer server(service, fd);
-        (void)server.run();
-        sp.b.reset();
-    });
+    ServerThread server(service, std::move(sp.b));
     cluster::write_frame(sp.a.get(), Opcode::kDetectRequest, 11,
                          cluster::encode_detect_request(patterned_image(8, 8, 2, 1.0f)));
     cluster::write_frame(sp.a.get(), Opcode::kDetectRequest, 12,
@@ -514,7 +543,7 @@ TEST(WorkerServer, UnsupportedChannelCountGetsErrorReply) {
         replies[f.header.request_id] = op;
         if (op == Opcode::kError) error = cluster::decode_error(f.payload);
     }
-    worker.join();
+    EXPECT_EQ(server.error(), "");
     service.stop();
     EXPECT_EQ(replies[11], Opcode::kError);
     EXPECT_NE(error.find("channels"), std::string::npos) << error;
@@ -532,11 +561,7 @@ TEST(WorkerServer, ReloadSwapsRollsBackAndRejectsBadCandidates) {
     serve::DetectionService service(net, sc);
 
     SocketPair sp;
-    std::thread worker([&, fd = sp.b.get()] {
-        cluster::WorkerServer server(service, fd);
-        (void)server.run();
-        sp.b.reset();
-    });
+    ServerThread server(service, std::move(sp.b));
 
     auto roundtrip = [&](const cluster::WireReloadRequest& req,
                          std::uint64_t id) {
@@ -573,7 +598,7 @@ TEST(WorkerServer, ReloadSwapsRollsBackAndRejectsBadCandidates) {
     Frame f;
     while (cluster::read_frame(sp.a.get(), f)) {
     }
-    worker.join();
+    EXPECT_EQ(server.error(), "");
     service.stop();
     EXPECT_EQ(service.model_version(), 1u);
 }
@@ -583,9 +608,10 @@ TEST(WorkerServer, ReloadSwapsRollsBackAndRejectsBadCandidates) {
 /// Speaks the wire protocol on one socketpair end but only answers when the
 /// test says so: detect requests are held until release_all(), pings are
 /// answered only while answer_pings is on (or held for answer_oldest_ping()
-/// while hold_pings is on), and stall_on_next_detect() stops it reading
-/// mid-frame until resume(). That makes admission, dispatch, retry, and
-/// breaker transitions deterministic — no timing races on real compute.
+/// while hold_pings is on), stall_on_next_detect() stops it reading
+/// mid-frame until resume(), and stall_on_shutdown() holds its ack until
+/// resume(). That makes admission, dispatch, retry, and breaker transitions
+/// deterministic — no timing races on real compute.
 class FakeWorker {
   public:
     explicit FakeWorker(io::UniqueFd fd)
@@ -626,6 +652,10 @@ class FakeWorker {
     /// Scripted verdict for subsequent reload requests (rollbacks always
     /// succeed, like the real service keeping prev_set_ around).
     void set_reload_ok(bool v) { reload_ok_.store(v); }
+    /// Answers subsequent reload requests with an error frame carrying
+    /// kReloadErrorText, as a worker answers a payload it cannot decode.
+    void set_reload_error(bool v) { reload_error_.store(v); }
+    static constexpr const char* kReloadErrorText = "cannot decode reload-request";
     int reload_requests() { return reload_requests_.load(); }
     int rollback_requests() { return rollback_requests_.load(); }
 
@@ -646,10 +676,19 @@ class FakeWorker {
         std::lock_guard<std::mutex> lock(mu_);
         stall_armed_ = true;
     }
+    /// On the shutdown, stalls until resume() before it writes the ack: a
+    /// worker still busy after it read the shutdown. ack_sent() tells
+    /// whether the ack then got through.
+    void stall_on_shutdown() {
+        std::lock_guard<std::mutex> lock(mu_);
+        stall_shutdown_ = true;
+    }
+    bool ack_sent() { return ack_sent_.load(); }
     void resume() {
         {
             std::lock_guard<std::mutex> lock(mu_);
             stall_armed_ = false;
+            stall_shutdown_ = false;
             stalled_ = false;
         }
         stall_cv_.notify_all();
@@ -721,6 +760,13 @@ class FakeWorker {
                         }
                         break;
                     case Opcode::kReloadRequest: {
+                        if (reload_error_.load()) {
+                            std::lock_guard<std::mutex> wl(write_mu_);
+                            cluster::write_frame(fd_.get(), Opcode::kError,
+                                                 f.header.request_id,
+                                                 cluster::encode_error(kReloadErrorText));
+                            break;
+                        }
                         const cluster::WireReloadRequest req =
                             cluster::decode_reload_request(f.payload);
                         cluster::WireReloadResponse resp;
@@ -742,9 +788,18 @@ class FakeWorker {
                     }
                     case Opcode::kShutdown: {
                         release_all();  // drain like a real worker would
+                        {
+                            std::unique_lock<std::mutex> lock(mu_);
+                            if (stall_shutdown_) {
+                                stalled_ = true;
+                                stall_cv_.notify_all();
+                                stall_cv_.wait(lock, [&] { return !stalled_; });
+                            }
+                        }
                         std::lock_guard<std::mutex> wl(write_mu_);
                         cluster::write_frame(fd_.get(), Opcode::kShutdownAck, 0,
                                              nullptr, 0);
+                        ack_sent_.store(true);
                         return;
                     }
                     default:
@@ -760,6 +815,7 @@ class FakeWorker {
     std::mutex mu_;
     std::condition_variable stall_cv_;
     bool stall_armed_ = false;
+    bool stall_shutdown_ = false;
     bool stalled_ = false;
     std::vector<std::uint64_t> held_;
     std::vector<std::vector<std::uint8_t>> detect_payloads_;
@@ -768,6 +824,8 @@ class FakeWorker {
     std::atomic<bool> answer_pings_{true};
     std::atomic<bool> hold_pings_{false};
     std::atomic<bool> reload_ok_{true};
+    std::atomic<bool> reload_error_{false};
+    std::atomic<bool> ack_sent_{false};
     std::atomic<int> reload_requests_{0};
     std::atomic<int> rollback_requests_{0};
     std::thread thread_;
@@ -793,10 +851,7 @@ TEST(Router, AdoptedWorkerEndToEndMatchesSerialPipeline) {
 
     SocketPair sp;
     const int adopt_fd = sp.a.release();
-    std::thread worker([&, fd = sp.b.get()] {
-        cluster::WorkerServer server(service, fd);
-        (void)server.run();
-    });
+    ServerThread server(service, std::move(sp.b));
 
     const DetectionDataset frames =
         generate_dataset(benchmark_scene_config(64), 6, /*seed=*/11);
@@ -829,7 +884,7 @@ TEST(Router, AdoptedWorkerEndToEndMatchesSerialPipeline) {
         EXPECT_NE(fs.to_json().find("\"aggregate\""), std::string::npos);
         router.stop();
     }
-    worker.join();
+    EXPECT_EQ(server.error(), "");
     service.stop();
 }
 
@@ -1019,6 +1074,140 @@ TEST(Router, StuckWriteKeepsPixelsAliveAcrossRedispatch) {
     router.stop();
 }
 
+/// Slot 0's first request write, 3 MB to a fake that stopped reading in the
+/// middle of it, stays stuck until the fake resumes. The destructor resumes
+/// it and joins the submitter, so a failed ASSERT still ends the test.
+class StuckWrite {
+  public:
+    StuckWrite(cluster::Router& router, FakeWorker& fake) : fake_(fake) {
+        fake_.stall_on_next_detect();
+        submitter_ = std::thread(
+            [this, &router] { result_ = router.submit(1, patterned_image(512, 512, 3, 1.0f)); });
+    }
+    ~StuckWrite() { finish(); }
+    StuckWrite(const StuckWrite&) = delete;
+    StuckWrite& operator=(const StuckWrite&) = delete;
+
+    [[nodiscard]] bool taken_hold() { return fake_.wait_for_stall(); }
+    /// Lets the write go on, and returns the frame's future once submit does.
+    std::future<ServeResult> result() {
+        finish();
+        return std::move(result_);
+    }
+
+  private:
+    void finish() {
+        fake_.resume();
+        if (submitter_.joinable()) submitter_.join();
+    }
+
+    FakeWorker& fake_;
+    std::future<ServeResult> result_;
+    std::thread submitter_;
+};
+
+/// Two fakes; slot 0 stays kUp with its frame however long its write is
+/// stuck, since no ping goes overdue.
+cluster::RouterConfig stuck_write_config(int fd_a, int fd_b) {
+    cluster::RouterConfig rc = adopt_config({fd_a, fd_b});
+    rc.worker_inflight_limit = 0;
+    rc.health_timeout_ms = 600000;
+    return rc;
+}
+
+// stop() waits for a socket a stuck write holds no longer than
+// shutdown_timeout_ms. Severing the connections then fails the stuck write,
+// and its frame resolves kShutdown.
+TEST(Router, StopDoesNotWaitBehindStuckWrite) {
+    SocketPair spa;
+    SocketPair spb;
+    const int fd_a = spa.a.release();
+    const int fd_b = spb.a.release();
+    FakeWorker fake_a(std::move(spa.b));
+    FakeWorker fake_b(std::move(spb.b));
+    cluster::RouterConfig rc = stuck_write_config(fd_a, fd_b);
+    rc.shutdown_timeout_ms = 200;
+    cluster::Router router(rc);
+    std::future<void> stopped;  // declared first: waited for after `stuck` resumes
+    StuckWrite stuck(router, fake_a);
+    ASSERT_TRUE(stuck.taken_hold());
+    stopped = std::async(std::launch::async, [&] { router.stop(); });
+    ASSERT_EQ(stopped.wait_for(std::chrono::seconds(1)), std::future_status::ready);
+    std::future<ServeResult> fut = stuck.result();
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    EXPECT_EQ(fut.get().status, ServeStatus::kShutdown);
+}
+
+// fleet_stats(timeout_ms) returns within its timeout while a request write
+// holds a socket; the router counters are read whatever the workers do.
+TEST(Router, FleetStatsDoesNotWaitBehindStuckWrite) {
+    SocketPair spa;
+    SocketPair spb;
+    const int fd_a = spa.a.release();
+    const int fd_b = spb.a.release();
+    FakeWorker fake_a(std::move(spa.b));
+    FakeWorker fake_b(std::move(spb.b));
+    cluster::Router router(stuck_write_config(fd_a, fd_b));
+    std::future<cluster::FleetStats> stats;  // declared first: see above
+    StuckWrite stuck(router, fake_a);
+    ASSERT_TRUE(stuck.taken_hold());
+    stats = std::async(std::launch::async, [&] { return router.fleet_stats(100); });
+    ASSERT_EQ(stats.wait_for(std::chrono::seconds(1)), std::future_status::ready);
+    const cluster::FleetStats fs = stats.get();
+    EXPECT_EQ(fs.submitted, 1u) << fs.to_json();
+    EXPECT_EQ(fs.ok, 0u);
+    EXPECT_EQ(fs.retried, 0u);
+    EXPECT_EQ(fs.worker_deaths, 0u);
+    EXPECT_TRUE(fs.workers.empty());  // fakes leave stats requests unanswered
+    std::future<ServeResult> fut = stuck.result();
+    ASSERT_TRUE(fake_a.wait_for_held(1));
+    fake_a.release_all();
+    EXPECT_EQ(fut.get().status, ServeStatus::kOk);
+    router.stop();
+}
+
+/// Submits `frame`, which the wire cannot carry, to a router over two fakes:
+/// it resolves kFailed before submit returns, naming `limit`; no worker sees
+/// it or dies, and the next frame is served.
+void expect_fails_alone(Image frame, const std::string& limit) {
+    SocketPair spa;
+    SocketPair spb;
+    const int fd_a = spa.a.release();
+    const int fd_b = spb.a.release();
+    FakeWorker fake_a(std::move(spa.b));
+    FakeWorker fake_b(std::move(spb.b));
+    cluster::Router router(adopt_config({fd_a, fd_b}));
+    std::future<ServeResult> bad = router.submit(1, std::move(frame));
+    ASSERT_EQ(bad.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    const ServeResult r = bad.get();
+    EXPECT_EQ(r.status, ServeStatus::kFailed);
+    EXPECT_NE(r.error.find(limit), std::string::npos) << r.error;
+    std::future<ServeResult> next = router.submit(1, patterned_image(8, 8, 3, 1.0f));
+    ASSERT_TRUE(fake_a.wait_for_held(1));  // both idle: the lowest slot
+    fake_a.release_all();
+    EXPECT_EQ(next.get().status, ServeStatus::kOk);
+    EXPECT_EQ(router.worker_state(0), cluster::WorkerState::kUp);
+    EXPECT_EQ(router.worker_state(1), cluster::WorkerState::kUp);
+    EXPECT_EQ(fake_a.detect_payloads().size(), 1u);
+    EXPECT_TRUE(fake_b.detect_payloads().empty());
+    const cluster::FleetStats fs = router.fleet_stats(/*timeout_ms=*/100);
+    EXPECT_TRUE(fs.accounting_ok()) << fs.to_json();
+    EXPECT_EQ(fs.failed, 1u);
+    EXPECT_EQ(fs.ok, 1u);
+    EXPECT_EQ(fs.worker_deaths, 0u);
+    router.stop();
+}
+
+TEST(Router, FrameOverSideLimitFailsAlone) {
+    // Its width does not fit the geometry's u16 field.
+    expect_fails_alone(Image(65536, 1, 3), "65535");
+}
+
+// 256 MiB of pixels: left out of the TSan run, which shadows every byte.
+TEST(Router, FrameOverPayloadCapFailsAlone) {
+    expect_fails_alone(Image(16385, 4096, 1), std::to_string(cluster::kMaxPayloadBytes));
+}
+
 TEST(Router, EjectsUnresponsiveWorkerThenReadmitsViaHalfOpen) {
     SocketPair sp;
     const int adopt_fd = sp.a.release();
@@ -1167,6 +1356,25 @@ TEST(Router, StopResolvesHeldFramesAsShutdown) {
     EXPECT_EQ(router.submit(1, img).get().status, ServeStatus::kShutdown);
 }
 
+// stop() severs the connections only once each worker sent its
+// shutdown-ack, its last frame, or the deadline passed: a worker still busy
+// after it read the shutdown is not cut off in the middle of its replies.
+TEST(Router, StopWaitsForTheShutdownAck) {
+    SocketPair sp;
+    const int adopt_fd = sp.a.release();
+    FakeWorker fake(std::move(sp.b));
+    fake.stall_on_shutdown();
+    cluster::RouterConfig rc = adopt_config({adopt_fd});
+    rc.shutdown_timeout_ms = 30000;
+    cluster::Router router(rc);
+    std::future<void> stopped = std::async(std::launch::async, [&] { router.stop(); });
+    ASSERT_TRUE(fake.wait_for_stall());
+    EXPECT_EQ(stopped.wait_for(std::chrono::milliseconds(100)), std::future_status::timeout);
+    fake.resume();
+    ASSERT_EQ(stopped.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    EXPECT_TRUE(fake.ack_sent());
+}
+
 // ---- rolling fleet reload (scripted fakes: deterministic, TSan-visible) -----
 
 TEST(Router, RollingReloadDrainsThenSwapsEveryWorker) {
@@ -1265,6 +1473,27 @@ TEST(Router, RollingReloadAbortsAndRollsBackCommittedWorkers) {
     fake_b.release_all();
     EXPECT_EQ(f0.get().status, ServeStatus::kOk);
     EXPECT_EQ(f1.get().status, ServeStatus::kOk);
+    router.stop();
+}
+
+// An error frame answers whichever request carries its id: a reload request
+// the worker cannot decode fails the rollout at once, with the worker's text.
+TEST(Router, RollingReloadAnsweredWithErrorFailsAtOnce) {
+    SocketPair sp;
+    const int adopt_fd = sp.a.release();
+    FakeWorker fake(std::move(sp.b));
+    fake.set_reload_error(true);
+    cluster::Router router(adopt_config({adopt_fd}));
+
+    const auto start = std::chrono::steady_clock::now();
+    const cluster::RolloutReport report =
+        router.rolling_reload("fake-candidate.weights", /*timeout_ms=*/5000);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.reloaded, 0u);
+    EXPECT_NE(report.error.find(FakeWorker::kReloadErrorText), std::string::npos)
+        << report.error;
+    EXPECT_EQ(router.worker_state(0), cluster::WorkerState::kUp);
     router.stop();
 }
 
