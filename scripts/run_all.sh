@@ -67,13 +67,15 @@ fi
 # Concurrency-correctness stage (docs/static_analysis.md): rebuild with the
 # runtime lock-order deadlock detector compiled in (every sync::Mutex
 # acquisition feeds the global lock-order graph; an ABBA inversion aborts
-# with both acquisition stacks) and rerun the threaded + cluster labels.
-# Under Clang this build also promotes -Wthread-safety to an error
-# (DRONET_WERROR) and registers the tests/compile_fail negative cases.
+# with both acquisition stacks) and rerun the threaded, cluster, chaos and
+# reload labels — chaos and reload reach the breaker-open -> probation
+# rollback and reload-commit paths, where the service's one mutex meets
+# reload_mu_. Under Clang this build also promotes -Wthread-safety to an
+# error (DRONET_WERROR) and registers the tests/compile_fail negative cases.
 cmake -B build-sync -G Ninja -DDRONET_WERROR=ON -DDRONET_DEADLOCK_DETECT=ON \
   -DDRONET_BUILD_BENCH=OFF -DDRONET_BUILD_EXAMPLES=OFF
 cmake --build build-sync
-ctest --test-dir build-sync -L "concurrency|cluster" --output-on-failure 2>&1 \
+ctest --test-dir build-sync -L "concurrency|cluster|chaos|reload" --output-on-failure 2>&1 \
   | tee sync_output.txt
 
 # The sanitized trees below never run the `alloc-count` label

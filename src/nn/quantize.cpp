@@ -56,37 +56,43 @@ Int8Calibration calibrate(Network& net, std::span<const Tensor> samples) {
     return calib;
 }
 
+std::vector<Tensor> synthetic_frames(const Shape& shape) {
+    std::vector<Tensor> frames;
+    frames.emplace_back(shape);
+    frames.back().fill(0.5f);
+    frames.emplace_back(shape);
+    frames.back().fill(1.0f);
+    Tensor ramp(shape);
+    for (int n = 0; n < shape.n; ++n) {
+        for (int c = 0; c < shape.c; ++c) {
+            for (int h = 0; h < shape.h; ++h) {
+                for (int w = 0; w < shape.w; ++w) {
+                    const float y =
+                        shape.h > 1 ? static_cast<float>(h) / static_cast<float>(shape.h - 1)
+                                    : 0.0f;
+                    const float x =
+                        shape.w > 1 ? static_cast<float>(w) / static_cast<float>(shape.w - 1)
+                                    : 0.0f;
+                    ramp[ramp.index(n, c, h, w)] = 0.5f * (x + y);
+                }
+            }
+        }
+    }
+    frames.push_back(std::move(ramp));
+    Tensor noise(shape);
+    Rng rng(0x178cu);
+    rng.fill_uniform(noise.span(), 0.0f, 1.0f);
+    frames.push_back(std::move(noise));
+    return frames;
+}
+
 Int8Calibration self_calibrate(Network& net) {
     require_f32(net, "self_calibrate");
     // Batch-1 frames whatever the live batch: the seeded noise would
     // otherwise fill a different tensor, and the ranges would follow it.
     const int batch = net.config().batch;
     net.set_batch(1);
-    const Shape in = net.input_shape();
-    std::vector<Tensor> samples;
-    // Constant frames bound the aligned-filter response, the ramp adds
-    // low-frequency structure, seeded noise adds texture — a deterministic
-    // stand-in for representative [0,1] imagery (docs/quantization.md).
-    samples.emplace_back(in);
-    samples.back().fill(0.5f);
-    samples.emplace_back(in);
-    samples.back().fill(1.0f);
-    Tensor ramp(in);
-    for (int c = 0; c < in.c; ++c) {
-        for (int h = 0; h < in.h; ++h) {
-            for (int w = 0; w < in.w; ++w) {
-                const float y = in.h > 1 ? static_cast<float>(h) / static_cast<float>(in.h - 1) : 0.0f;
-                const float x = in.w > 1 ? static_cast<float>(w) / static_cast<float>(in.w - 1) : 0.0f;
-                ramp[ramp.index(0, c, h, w)] = 0.5f * (x + y);
-            }
-        }
-    }
-    samples.push_back(std::move(ramp));
-    Tensor noise(in);
-    Rng rng(0x178cu);
-    rng.fill_uniform(noise.span(), 0.0f, 1.0f);
-    samples.push_back(std::move(noise));
-    Int8Calibration calib = calibrate(net, samples);
+    Int8Calibration calib = calibrate(net, synthetic_frames(net.input_shape()));
     net.set_batch(batch);
     return calib;
 }

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "nn/network.hpp"
 
@@ -33,10 +34,16 @@ namespace dronet {
 /// unless `net` runs at Precision::kF32.
 [[nodiscard]] Int8Calibration calibrate(Network& net, std::span<const Tensor> samples);
 
-/// calibrate() over a deterministic synthetic set of four batch-1 frames
-/// (constant, ramp and seeded noise in [0, 1]) at the network's input size,
-/// whatever its live batch, which it restores. Reproducible across replicas,
-/// runs and batch sizes.
+/// Four deterministic frames of `shape` in [0, 1], in this order: constant
+/// 0.5, constant 1.0, a low-frequency ramp and seeded noise. Constant frames
+/// bound the aligned-filter response, the ramp adds low-frequency structure,
+/// the noise adds texture — a stand-in for representative imagery
+/// (docs/quantization.md). self_calibrate and the reload canary forward them.
+[[nodiscard]] std::vector<Tensor> synthetic_frames(const Shape& shape);
+
+/// calibrate() over synthetic_frames() at batch 1 and the network's input
+/// size, whatever its live batch, which it restores. Reproducible across
+/// replicas, runs and batch sizes.
 [[nodiscard]] Int8Calibration self_calibrate(Network& net);
 
 /// Int8 handle over a Network, kept only for the repository benchmark

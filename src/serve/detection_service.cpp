@@ -10,7 +10,6 @@
 #include "nn/clone.hpp"
 #include "nn/quantize.hpp"
 #include "nn/weights_io.hpp"
-#include "tensor/rng.hpp"
 
 namespace dronet::serve {
 
@@ -23,6 +22,7 @@ double ms_since(std::chrono::steady_clock::time_point t) {
 }
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
+constexpr auto kNoWindow = std::chrono::steady_clock::time_point::min();
 
 /// Thrown by detect_with_retry when a frame's deadline expires mid-retry;
 /// both ends live in this TU.
@@ -90,7 +90,7 @@ DetectionService::DetectionService(const Network& prototype, ServiceConfig confi
     {
         auto set = build_model_set(clone_network(prototype));
         set->version = 1;
-        sync::MutexLock lock(model_mu_);
+        sync::MutexLock lock(mu_);
         live_set_ = std::move(set);
     }
     workers_.reserve(static_cast<std::size_t>(config_.workers));
@@ -138,34 +138,47 @@ DetectionService::build_model_set(Network candidate) {
 
 std::shared_ptr<const DetectionService::ModelSet>
 DetectionService::current_set() const {
-    sync::MutexLock lock(model_mu_);
+    sync::MutexLock lock(mu_);
     return live_set_;
 }
 
 std::uint64_t DetectionService::model_version() const {
-    sync::MutexLock lock(model_mu_);
-    return live_set_ ? live_set_->version : 0;
+    sync::MutexLock lock(mu_);
+    return live_set_->version;
+}
+
+bool DetectionService::degraded() const {
+    sync::MutexLock lock(mu_);
+    return degraded_;
 }
 
 std::future<ServeResult> DetectionService::submit(Image frame) {
     Job job;
     job.frame = std::move(frame);
-    job.frame_index = next_index_.fetch_add(1, std::memory_order_relaxed);
     job.submit_time = std::chrono::steady_clock::now();
     job.deadline = config_.deadline_ms > 0
                        ? job.submit_time + std::chrono::milliseconds(config_.deadline_ms)
                        : kNoDeadline;
     std::future<ServeResult> future = job.promise.get_future();
-    stats_.record_submitted();
+    const char* shed = nullptr;
     {
-        // Every submission leaves through finish(), sheds included.
-        sync::MutexLock lock(inflight_mu_);
-        ++accepted_;
+        // Counted here, so every submission leaves through finish(), sheds
+        // included; indices follow submission order.
+        sync::MutexLock lock(mu_);
+        job.frame_index = static_cast<int>(stats_.counters.submitted);
+        stats_.record_submitted();
+        if (stopped_) {
+            shed = "service stopped";
+        } else if (breaker_.state() == Breaker::State::kOpen) {
+            if (breaker_.poll(job.submit_time) == Breaker::State::kOpen) {
+                shed = "circuit breaker open";
+            } else {  // half-open: frames are admitted as the trial
+                const std::chrono::duration<double, std::milli> open_for =
+                    job.submit_time - breaker_.opened_at();
+                stats_.counters.breaker_open_ms += open_for.count();
+            }
+        }
     }
-
-    const char* shed = stopped_.load(std::memory_order_acquire) ? "service stopped"
-                       : !breaker_allows()                       ? "circuit breaker open"
-                                                                 : nullptr;
     if (shed != nullptr) {
         finish(job, empty_result(ServeStatus::kRejected, shed));
         return future;
@@ -195,38 +208,39 @@ std::future<ServeResult> DetectionService::submit(Image frame) {
     if (config_.degrade_high_watermark > 0 &&
         (outcome == PushOutcome::kEnqueued || outcome == PushOutcome::kEvictedOldest) &&
         queue_.size() >= config_.degrade_high_watermark) {
-        if (!degraded_.exchange(true, std::memory_order_acq_rel)) {
-            stats_.record_degrade_transition();
+        sync::MutexLock lock(mu_);
+        if (!degraded_) {
+            degraded_ = true;
+            ++stats_.counters.degrade_transitions;
         }
     }
     return future;
 }
 
-// The one exit of every frame: counts its outcome, fulfils its promise, then
-// releases drain()'s count. In that order, so a caller woken by its future
-// or by drain() already sees the frame in stats(). A non-null `bad_input`
-// resolves the future with that exception instead, counted as failed.
+// The one exit of every frame: counts its outcome and fulfils its promise in
+// one critical section, so a caller woken by its future already sees the
+// frame in stats(), and drain() — which waits for the accounting identity —
+// returns only once every future is ready. A non-null `bad_input` resolves
+// the future with that exception instead, counted as failed.
 void DetectionService::finish(Job& job, ServeResult r, std::exception_ptr bad_input) {
+    r.frame.frame_index = job.frame_index;
+    sync::MutexLock lock(mu_);
+    ServeStatsSnapshot& c = stats_.counters;
     switch (bad_input ? ServeStatus::kFailed : r.status) {
         case ServeStatus::kOk: stats_.record_completed(r.timings); break;
-        case ServeStatus::kDropped: stats_.record_dropped(); break;
+        case ServeStatus::kDropped: ++c.dropped; break;
         case ServeStatus::kRejected:
-        case ServeStatus::kShutdown: stats_.record_rejected(); break;
-        case ServeStatus::kTimeout: stats_.record_deadline_expired(); break;
-        case ServeStatus::kFailed: stats_.record_failed(); break;
+        case ServeStatus::kShutdown: ++c.rejected; break;
+        case ServeStatus::kTimeout: ++c.deadline_expired; break;
+        case ServeStatus::kFailed: ++c.failed; break;
     }
     if (bad_input) {
         job.promise.set_exception(std::move(bad_input));
     } else {
-        r.frame.frame_index = job.frame_index;
         job.promise.set_value(std::move(r));
     }
     job.resolved = true;
-    {
-        sync::MutexLock lock(inflight_mu_);
-        ++resolved_;
-    }
-    inflight_cv_.notify_all();
+    if (c.accounting_ok()) drained_cv_.notify_all();
 }
 
 void DetectionService::expire_overdue(std::vector<Job>& jobs) {
@@ -245,20 +259,23 @@ void DetectionService::expire_overdue(std::vector<Job>& jobs) {
     jobs.swap(kept);
 }
 
-void DetectionService::apply_degrade_mode(Network& net, bool& degraded_now) {
-    degraded_now = false;
-    if (config_.degrade_high_watermark == 0) return;
-    if (degraded_.load(std::memory_order_acquire) &&
-        queue_.size() <= config_.degrade_low_watermark) {
-        if (degraded_.exchange(false, std::memory_order_acq_rel)) {
-            stats_.record_degrade_transition();
+bool DetectionService::apply_degrade_mode(Network& net) {
+    if (config_.degrade_high_watermark == 0) return false;
+    const bool backlog_cleared = queue_.size() <= config_.degrade_low_watermark;
+    bool degraded_now = false;
+    {
+        sync::MutexLock lock(mu_);
+        if (degraded_ && backlog_cleared) {
+            degraded_ = false;
+            ++stats_.counters.degrade_transitions;
         }
+        degraded_now = degraded_;
     }
-    degraded_now = degraded_.load(std::memory_order_acquire);
     const int desired = degraded_now ? config_.degraded_size : full_size_;
     if (net.config().width != desired) {
         net.resize_input(desired, desired);  // allocation-free: pre-reserved
     }
+    return degraded_now;
 }
 
 // Serves batches until the queue is closed and drained. A fault that escapes
@@ -284,14 +301,17 @@ void DetectionService::worker_loop(std::size_t worker_id) {
                 // once the last worker moves on.
                 const std::shared_ptr<const ModelSet> set = current_set();
                 Network& net = *set->replicas[worker_id];
-                bool degraded_now = false;
-                apply_degrade_mode(net, degraded_now);
-                process_batch(net, jobs, degraded_now);
+                process_batch(net, jobs, apply_degrade_mode(net));
             }
         } catch (const std::exception& e) {
             what = e.what();
         } catch (...) {
             what = "unknown exception";
+        }
+        {
+            // Counted before the held frames resolve, so drain() sees it.
+            sync::MutexLock lock(mu_);
+            ++stats_.counters.worker_restarts;
         }
         note_frame_failure();
         for (Job& job : jobs) {
@@ -299,7 +319,6 @@ void DetectionService::worker_loop(std::size_t worker_id) {
                 finish(job, empty_result(ServeStatus::kFailed, "worker died: " + what));
             }
         }
-        stats_.record_worker_restart();
     }
 }
 
@@ -320,7 +339,10 @@ Detections DetectionService::detect_with_retry(Network& net, const Image& frame,
             throw;  // bad input (invalid_argument & co): retrying cannot help
         } catch (const std::exception&) {
             if (attempt >= config_.max_retries) throw;
-            stats_.record_retry();
+            {
+                sync::MutexLock lock(mu_);
+                ++stats_.counters.retries;
+            }
             if (backoff > 0) {
                 std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
             }
@@ -349,6 +371,7 @@ void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
     if (n > 1) {
         try {
             dets = detect_images_timed(net, frames, config_.pipeline.eval, &stages);
+            sync::MutexLock lock(mu_);
             stats_.record_batch(n);
         } catch (const fault::WorkerKillFault&) {
             throw;  // worker_loop fails the held jobs and restarts
@@ -366,6 +389,7 @@ void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
                                  stages.postprocess_ms * share};
             if (dets.empty()) {
                 r.frame.detections = detect_with_retry(net, frames[i], job, &t);
+                sync::MutexLock lock(mu_);
                 stats_.record_batch(1);
             } else {
                 r.frame.detections = std::move(dets[i]);
@@ -383,8 +407,7 @@ void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
                          .forward_ms = t.forward_ms,
                          .postprocess_ms = t.postprocess_ms};
             r.frame.latency_ms = r.timings.total_ms();
-            if (degraded) stats_.record_degraded(1);
-            note_frame_success();
+            note_frame_success(degraded);
         } catch (const DeadlineExpired&) {
             r = empty_result(ServeStatus::kTimeout, "deadline expired during retry");
         } catch (const fault::WorkerKillFault&) {
@@ -401,120 +424,53 @@ void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
     }
 }
 
-bool DetectionService::breaker_allows() {
-    if (config_.breaker_threshold <= 0) return true;
-    sync::MutexLock lock(breaker_mu_);
-    if (breaker_.state() != Breaker::State::kOpen) return true;
-    const auto now = std::chrono::steady_clock::now();
-    if (breaker_.poll(now) == Breaker::State::kOpen) return false;
-    // Half-open: frames are admitted as the trial.
-    stats_.record_breaker_open_ms(
-        std::chrono::duration<double, std::milli>(now - breaker_.opened_at()).count());
-    return true;
-}
-
 void DetectionService::note_frame_failure() {
-    bool opened = false;
-    if (config_.breaker_threshold > 0) {
-        sync::MutexLock lock(breaker_mu_);
-        opened = breaker_.fail(std::chrono::steady_clock::now());
-        if (opened) stats_.record_breaker_opened();
+    std::shared_ptr<ModelSet> retired;  // freed after mu_ is released
+    sync::MutexLock lock(mu_);
+    const auto now = std::chrono::steady_clock::now();
+    const bool opened = config_.breaker_threshold > 0 && breaker_.fail(now);
+    if (opened) ++stats_.counters.breaker_opens;
+    // A closed window reads as expired; an expired one means the new model
+    // survived probation.
+    if (now > probation_end_) return;
+    ++probation_failures_;
+    if (opened || probation_failures_ >= config_.reload_rollback_failures) {
+        probation_end_ = kNoWindow;
+        retired = restore_previous();
     }
-    // Outside breaker_mu_: the rollback path takes model_mu_, and holding
-    // both here would order them against reload (model lock order).
-    maybe_probation_failure(opened);
 }
 
-void DetectionService::note_frame_success() {
-    if (config_.breaker_threshold <= 0) return;
-    sync::MutexLock lock(breaker_mu_);
+void DetectionService::note_frame_success(bool degraded) {
+    if (config_.breaker_threshold <= 0 && !degraded) return;
+    sync::MutexLock lock(mu_);
     breaker_.succeed();
+    if (degraded) ++stats_.counters.degraded_frames;
 }
 
-namespace {
-
-std::int64_t steady_now_ns() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-}  // namespace
-
-void DetectionService::maybe_probation_failure(bool breaker_opened) {
-    if (config_.reload_probation_ms <= 0) return;
-    std::int64_t deadline = probation_deadline_ns_.load(std::memory_order_acquire);
-    if (deadline == 0) return;
-    if (steady_now_ns() > deadline) {
-        // Window expired: the new model survived probation; stop counting.
-        probation_deadline_ns_.compare_exchange_strong(deadline, 0,
-                                                       std::memory_order_acq_rel);
-        return;
-    }
-    const int fails = probation_failures_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (breaker_opened || fails >= config_.reload_rollback_failures) {
-        // Close the window first so concurrent failures don't pile up more
-        // rollbacks; roll_back_internal is a no-op if prev is already gone.
-        probation_deadline_ns_.store(0, std::memory_order_release);
-        (void)roll_back_internal(breaker_opened
-                                     ? "probation: circuit breaker opened"
-                                     : "probation: frame-failure budget exhausted");
-    }
-}
-
-ReloadOutcome DetectionService::roll_back_internal(const std::string& why) {
-    ReloadOutcome out;
-    sync::MutexLock lock(model_mu_);
-    if (!prev_set_) {
-        out.model_version = live_set_ ? live_set_->version : 0;
-        out.error = "rollback: no previous model set (" + why + ")";
-        return out;
-    }
-    live_set_ = std::move(prev_set_);
-    prev_set_.reset();
-    out.ok = true;
-    out.model_version = live_set_->version;
-    stats_.record_rollback();
-    return out;
+std::shared_ptr<DetectionService::ModelSet> DetectionService::restore_previous() {
+    if (!prev_set_) return nullptr;
+    ++stats_.counters.rollbacks;
+    return std::exchange(live_set_, std::move(prev_set_));
 }
 
 ReloadOutcome DetectionService::rollback() {
-    sync::MutexLock lock(reload_mu_);
-    probation_deadline_ns_.store(0, std::memory_order_release);
-    return roll_back_internal("explicit rollback");
+    sync::MutexLock reload_lock(reload_mu_);
+    std::shared_ptr<ModelSet> retired;  // freed after mu_ is released
+    sync::MutexLock lock(mu_);
+    probation_end_ = kNoWindow;
+    retired = restore_previous();
+    ReloadOutcome out;
+    out.ok = retired != nullptr;
+    out.model_version = live_set_->version;
+    if (!out.ok) out.error = "rollback: no previous model set";
+    return out;
 }
 
-// Deterministic synthetic canary batch, the same family of frames the int8
-// self-calibration uses: a constant, a low-frequency ramp, and seeded noise —
-// all in the [0,1] range real preprocessed imagery occupies.
+// Forwards the frames self-calibration uses (synthetic_frames), all in the
+// [0,1] range real preprocessed imagery occupies.
 void DetectionService::run_canary(Network& candidate, Network& reference) {
     DRONET_FAULT_POINT(fault::kSiteReloadCanary);
-    const Shape in = reference.input_shape();
-    std::vector<Tensor> samples;
-    samples.emplace_back(in);
-    samples.back().fill(0.5f);
-    Tensor ramp(in);
-    for (int n = 0; n < in.n; ++n) {
-        for (int c = 0; c < in.c; ++c) {
-            for (int h = 0; h < in.h; ++h) {
-                for (int w = 0; w < in.w; ++w) {
-                    const float y = in.h > 1
-                                        ? static_cast<float>(h) / static_cast<float>(in.h - 1)
-                                        : 0.0f;
-                    const float x = in.w > 1
-                                        ? static_cast<float>(w) / static_cast<float>(in.w - 1)
-                                        : 0.0f;
-                    ramp[ramp.index(n, c, h, w)] = 0.5f * (x + y);
-                }
-            }
-        }
-    }
-    samples.push_back(std::move(ramp));
-    Tensor noise(in);
-    Rng rng(0x178cu);
-    rng.fill_uniform(noise.span(), 0.0f, 1.0f);
-    samples.push_back(std::move(noise));
-
+    const std::vector<Tensor> samples = synthetic_frames(reference.input_shape());
     double max_div = 0;
     for (const Tensor& x : samples) {
         const Tensor& cand = candidate.forward(x);
@@ -545,21 +501,25 @@ void DetectionService::run_canary(Network& candidate, Network& reference) {
 ReloadOutcome DetectionService::reload_checkpoint(
     const std::filesystem::path& weights) {
     ReloadOutcome out;
-    sync::MutexLock lock(reload_mu_);
-    if (stopped_.load(std::memory_order_acquire)) {
-        out.model_version = model_version();
-        out.error = "reload: service stopped";
-        stats_.record_reload_failure();
-        return out;
+    sync::MutexLock reload_lock(reload_mu_);
+    std::shared_ptr<const ModelSet> live;
+    {
+        sync::MutexLock lock(mu_);
+        live = live_set_;
+        if (stopped_) {
+            ++stats_.counters.reload_failures;
+            out.model_version = live->version;
+            out.error = "reload: service stopped";
+            return out;
+        }
     }
-    // The live reference network is only touched under reload_mu_, so using
-    // it as both the architecture source and the canary baseline is safe
-    // while workers keep serving from their replicas.
-    const std::shared_ptr<const ModelSet> live = current_set();
-    Network& reference = *live->reference;
     try {
-        // The reference is fp32, so the candidate loads floats and the
-        // replicas built from it encode the configured precision afresh.
+        // The live reference network is only touched under reload_mu_, so
+        // using it as both the architecture source and the canary baseline
+        // is safe while workers keep serving from their replicas. It is fp32,
+        // so the candidate loads floats and the replicas built from it encode
+        // the configured precision afresh.
+        Network& reference = *live->reference;
         Network candidate = clone_network(reference);
         // load_weights pre-checks the exact byte size (truncated or padded
         // files are rejected before any state changes) and restores every
@@ -568,42 +528,41 @@ ReloadOutcome DetectionService::reload_checkpoint(
         load_weights(candidate, weights);
         run_canary(candidate, reference);
         auto set = build_model_set(std::move(candidate));
-        {
-            sync::MutexLock ml(model_mu_);
-            set->version = next_version_++;
-            out.model_version = set->version;
-            prev_set_ = std::move(live_set_);
-            live_set_ = std::move(set);
-        }
+        std::shared_ptr<ModelSet> retired;  // freed after mu_ is released
+        sync::MutexLock lock(mu_);
+        set->version = next_version_++;
         out.ok = true;
-        stats_.record_reload();
+        out.model_version = set->version;
+        retired = std::exchange(prev_set_, std::exchange(live_set_, std::move(set)));
+        ++stats_.counters.reloads;
         if (config_.reload_probation_ms > 0) {
-            probation_failures_.store(0, std::memory_order_release);
-            probation_deadline_ns_.store(
-                steady_now_ns() + config_.reload_probation_ms * 1'000'000,
-                std::memory_order_release);
+            probation_end_ = std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(config_.reload_probation_ms);
+            probation_failures_ = 0;
         }
     } catch (const std::exception& e) {
-        out.ok = false;
-        out.model_version = model_version();
+        sync::MutexLock lock(mu_);
+        ++stats_.counters.reload_failures;
+        out.model_version = live_set_->version;
         out.error = e.what();
-        stats_.record_reload_failure();
     }
     return out;
 }
 
 ServeStatsSnapshot DetectionService::stats() const {
-    ServeStatsSnapshot s = stats_.snapshot();
-    if (config_.breaker_threshold > 0) {
-        sync::MutexLock lock(breaker_mu_);
+    const std::size_t depth = queue_.size();  // outside mu_, like every queue_ call
+    ServeStatsSnapshot s;
+    {
+        sync::MutexLock lock(mu_);
+        s = stats_.snapshot();
         if (breaker_.state() == Breaker::State::kOpen) {
             s.breaker_open_ms += ms_since(breaker_.opened_at());
         }
+        s.model_version = live_set_->version;
     }
-    s.model_version = model_version();
-    s.queue_depth = queue_.size();
+    s.queue_depth = depth;
     // From the one snapshot, so in_flight is 0 exactly when accounting_ok():
-    // finish() counts a frame before its future is ready.
+    // finish() counts a frame as it makes its future ready.
     s.in_flight = s.submitted - (s.completed + s.dropped + s.rejected + s.failed +
                                  s.deadline_expired);
     s.uptime_ms = static_cast<std::uint64_t>(ms_since(started_at_));
@@ -611,14 +570,17 @@ ServeStatsSnapshot DetectionService::stats() const {
 }
 
 void DetectionService::drain() {
-    sync::MutexLock lock(inflight_mu_);
-    while (resolved_ < accepted_) inflight_cv_.wait(inflight_mu_);
+    sync::MutexLock lock(mu_);
+    while (!stats_.counters.accounting_ok()) drained_cv_.wait(mu_);
 }
 
 // Workers return only once the closed queue is drained, and a closed queue
 // takes no more frames, so every frame has resolved after the joins.
 void DetectionService::stop() {
-    stopped_.store(true, std::memory_order_release);
+    {
+        sync::MutexLock lock(mu_);
+        stopped_ = true;
+    }
     queue_.close();
     // Serialize joins so stop() is safe to call from several threads (and
     // again from the destructor).

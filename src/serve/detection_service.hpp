@@ -25,7 +25,6 @@
 //   std::puts(service.stats().to_json().c_str());
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -178,9 +177,10 @@ class DetectionService {
     /// status for shed frames).
     [[nodiscard]] std::future<ServeResult> submit(Image frame);
 
-    /// Blocks until every submitted frame has resolved (completed, shed,
-    /// timed out, or failed) and is counted in stats(). Producers should be
-    /// quiescent while draining.
+    /// Blocks until the accounting identity holds: every submitted frame has
+    /// resolved (completed, shed, timed out, or failed), so its future is
+    /// ready and it is counted in stats(). Producers should be quiescent
+    /// while draining.
     void drain();
 
     /// Closes the queue and joins the workers, which serve every frame still
@@ -188,16 +188,16 @@ class DetectionService {
     /// returns. Subsequent submits resolve as kRejected. Idempotent.
     void stop();
 
-    /// Snapshot of the service counters. breaker_open_ms includes the
-    /// still-running open interval when the breaker is currently open; the
-    /// live gauges (queue_depth, in_flight, uptime_ms) are sampled here.
+    /// One consistent view of the service's books, read in one critical
+    /// section: model_version always matches the reloads and rollbacks that
+    /// produced it. breaker_open_ms includes the still-running open interval
+    /// when the breaker is currently open; the live gauges (queue_depth,
+    /// in_flight, uptime_ms) are sampled here.
     [[nodiscard]] ServeStatsSnapshot stats() const;
     [[nodiscard]] int workers() const noexcept { return config_.workers; }
     [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
     /// True while workers are serving at the degraded input size.
-    [[nodiscard]] bool degraded() const noexcept {
-        return degraded_.load(std::memory_order_acquire);
-    }
+    [[nodiscard]] bool degraded() const;
 
     /// Hot-swaps the serving model to the checkpoint at `weights`, without
     /// dropping a single in-flight future. Runs entirely on the calling
@@ -259,65 +259,63 @@ class DetectionService {
     /// The one exit of a frame (see the definition); every outcome counter
     /// and every promise of a Job is touched only here.
     void finish(Job& job, ServeResult r, std::exception_ptr bad_input = nullptr)
-        EXCLUDES(inflight_mu_);
+        EXCLUDES(mu_);
     void expire_overdue(std::vector<Job>& jobs);
-    void apply_degrade_mode(Network& net, bool& degraded_now);
-    [[nodiscard]] bool breaker_allows() EXCLUDES(breaker_mu_);
-    void note_frame_failure() EXCLUDES(breaker_mu_);
-    void note_frame_success() EXCLUDES(breaker_mu_);
+    /// Flips the degraded mode off once the backlog clears and sizes `net`
+    /// for the current mode; returns whether that mode is degraded.
+    [[nodiscard]] bool apply_degrade_mode(Network& net) EXCLUDES(mu_);
+    /// Feeds one frame failure to the breaker and to an open probation
+    /// window, which rolls back once its budget is spent or the breaker
+    /// opens.
+    void note_frame_failure() EXCLUDES(mu_);
+    void note_frame_success(bool degraded) EXCLUDES(mu_);
 
     /// Builds one complete model generation (replicas at `precision` +
     /// degrade warm-up, mirroring construction) from the fp32 `candidate`,
     /// which is consumed and becomes the set's reference network.
     [[nodiscard]] std::shared_ptr<ModelSet> build_model_set(Network candidate);
-    [[nodiscard]] std::shared_ptr<const ModelSet> current_set() const
-        EXCLUDES(model_mu_);
+    [[nodiscard]] std::shared_ptr<const ModelSet> current_set() const EXCLUDES(mu_);
     /// Canary gate: deterministic synthetic forwards of `candidate` vs the
     /// live reference. Throws std::runtime_error on non-finite outputs or
     /// divergence beyond config_.canary_max_divergence.
     void run_canary(Network& candidate, Network& reference);
-    /// Counts one frame failure (and breaker-open edge) against an open
-    /// probation window; rolls back when the window's budget is exhausted.
-    void maybe_probation_failure(bool breaker_opened) EXCLUDES(model_mu_);
-    [[nodiscard]] ReloadOutcome roll_back_internal(const std::string& why)
-        EXCLUDES(model_mu_);
+    /// Makes the previous model set live again and counts the rollback.
+    /// Returns the outgoing set, for the caller to free after releasing mu_;
+    /// null when there is no previous set.
+    [[nodiscard]] std::shared_ptr<ModelSet> restore_previous() REQUIRES(mu_);
 
     ServiceConfig config_;
     AltitudeFilter altitude_filter_;
     BoundedQueue<Job> queue_;
-    ServeStats stats_;
     int full_size_ = 0;  ///< prototype input size (degradation restores this)
     std::chrono::steady_clock::time_point started_at_;  ///< uptime_ms gauge
 
-    std::atomic<int> next_index_{0};
-    std::atomic<bool> stopped_{false};
-    std::atomic<bool> degraded_{false};
-
-    // Circuit breaker (mutable so stats() can fold the live open interval
-    // into the snapshot).
-    mutable sync::Mutex breaker_mu_{"DetectionService::breaker_mu"};
-    Breaker breaker_ GUARDED_BY(breaker_mu_);
-
-    // drain() bookkeeping: frames submitted vs. resolved through finish().
-    sync::Mutex inflight_mu_{"DetectionService::inflight_mu"};
-    sync::CondVar inflight_cv_;
-    std::uint64_t accepted_ GUARDED_BY(inflight_mu_) = 0;
-    std::uint64_t resolved_ GUARDED_BY(inflight_mu_) = 0;
-
-    // Model lifecycle. model_mu_ guards only the set pointers (held for a
-    // pointer copy per worker batch); reload_mu_ serializes whole reload /
-    // rollback operations, which run on caller threads and do the expensive
-    // work (load, canary, replica builds) outside model_mu_.
-    mutable sync::Mutex model_mu_{"DetectionService::model_mu"};
-    std::shared_ptr<ModelSet> live_set_ GUARDED_BY(model_mu_);
+    // The books, shared by callers and workers under one mutex. mu_ is never
+    // held across a queue_ call (a kBlock push waits outside it), a forward,
+    // the canary or a sleep, and nothing else is locked while it is held.
+    mutable sync::Mutex mu_{"DetectionService::mu"};
+    /// Signalled when a finish() makes the accounting identity hold.
+    sync::CondVar drained_cv_;
+    ServeStats stats_ GUARDED_BY(mu_);
+    Breaker breaker_ GUARDED_BY(mu_);
+    bool stopped_ GUARDED_BY(mu_) = false;
+    bool degraded_ GUARDED_BY(mu_) = false;
+    /// Workers pin the live set per batch; a swap or rollback replaces it.
+    std::shared_ptr<ModelSet> live_set_ GUARDED_BY(mu_);
     /// Previous generation, retained until the next committed swap so
     /// probation (and the fleet rollout abort) can always roll back.
-    std::shared_ptr<ModelSet> prev_set_ GUARDED_BY(model_mu_);
-    std::uint64_t next_version_ GUARDED_BY(model_mu_) = 2;
+    std::shared_ptr<ModelSet> prev_set_ GUARDED_BY(mu_);
+    std::uint64_t next_version_ GUARDED_BY(mu_) = 2;
+    /// Probation window after a swap: frame failures before this point count
+    /// against the new set. min() when no window is open.
+    std::chrono::steady_clock::time_point probation_end_ GUARDED_BY(mu_) =
+        std::chrono::steady_clock::time_point::min();
+    int probation_failures_ GUARDED_BY(mu_) = 0;
+
+    /// Serializes whole reload / rollback operations, which run on caller
+    /// threads and do the expensive work (load, canary, replica builds)
+    /// outside mu_.
     sync::Mutex reload_mu_{"DetectionService::reload_mu"};
-    /// Probation window end (steady-clock ns since epoch); 0 = no window.
-    std::atomic<std::int64_t> probation_deadline_ns_{0};
-    std::atomic<int> probation_failures_{0};
 
     // Declared last, after everything the workers use.
     sync::Mutex stop_mu_{"DetectionService::stop_mu"};  ///< serializes stop()

@@ -96,90 +96,21 @@ double LatencyHistogram::percentile(double p) const noexcept {
 }
 
 void ServeStats::record_submitted() noexcept {
-    sync::MutexLock lock(mu_);
-    ++submitted_;
+    ++counters.submitted;
     if (!clock_started_) {
         clock_started_ = true;
         first_submit_s_ = now_seconds();
     }
 }
 
-void ServeStats::record_rejected() noexcept {
-    sync::MutexLock lock(mu_);
-    ++rejected_;
-}
-
-void ServeStats::record_dropped() noexcept {
-    sync::MutexLock lock(mu_);
-    ++dropped_;
-}
-
-void ServeStats::record_failed() noexcept {
-    sync::MutexLock lock(mu_);
-    ++failed_;
-}
-
-void ServeStats::record_retry() noexcept {
-    sync::MutexLock lock(mu_);
-    ++retries_;
-}
-
-void ServeStats::record_deadline_expired() noexcept {
-    sync::MutexLock lock(mu_);
-    ++deadline_expired_;
-}
-
-void ServeStats::record_worker_restart() noexcept {
-    sync::MutexLock lock(mu_);
-    ++worker_restarts_;
-}
-
-void ServeStats::record_degraded(std::uint64_t frames) noexcept {
-    sync::MutexLock lock(mu_);
-    degraded_frames_ += frames;
-}
-
-void ServeStats::record_degrade_transition() noexcept {
-    sync::MutexLock lock(mu_);
-    ++degrade_transitions_;
-}
-
-void ServeStats::record_breaker_opened() noexcept {
-    sync::MutexLock lock(mu_);
-    ++breaker_opens_;
-}
-
-void ServeStats::record_breaker_open_ms(double ms) noexcept {
-    sync::MutexLock lock(mu_);
-    if (ms > 0) breaker_open_ms_ += ms;
-}
-
-void ServeStats::record_reload() noexcept {
-    sync::MutexLock lock(mu_);
-    ++reloads_;
-}
-
-void ServeStats::record_reload_failure() noexcept {
-    sync::MutexLock lock(mu_);
-    ++reload_failures_;
-}
-
-void ServeStats::record_rollback() noexcept {
-    sync::MutexLock lock(mu_);
-    ++rollbacks_;
-}
-
 void ServeStats::record_batch(std::size_t size) noexcept {
     if (size == 0) return;
-    sync::MutexLock lock(mu_);
-    ++batches_;
-    const std::size_t bucket = std::min(size, kMaxTrackedBatch) - 1;
-    ++batch_size_counts_[bucket];
+    ++counters.batches;
+    ++batch_size_counts_[std::min(size, kMaxTrackedBatch) - 1];
 }
 
 void ServeStats::record_completed(const FrameTimings& t) noexcept {
-    sync::MutexLock lock(mu_);
-    ++completed_;
+    ++counters.completed;
     last_done_s_ = now_seconds();
     queue_wait_.record(t.queue_wait_ms);
     preprocess_.record(t.preprocess_ms);
@@ -189,24 +120,7 @@ void ServeStats::record_completed(const FrameTimings& t) noexcept {
 }
 
 ServeStatsSnapshot ServeStats::snapshot() const {
-    sync::MutexLock lock(mu_);
-    ServeStatsSnapshot s;
-    s.submitted = submitted_;
-    s.completed = completed_;
-    s.dropped = dropped_;
-    s.rejected = rejected_;
-    s.batches = batches_;
-    s.failed = failed_;
-    s.retries = retries_;
-    s.deadline_expired = deadline_expired_;
-    s.worker_restarts = worker_restarts_;
-    s.degraded_frames = degraded_frames_;
-    s.degrade_transitions = degrade_transitions_;
-    s.breaker_opens = breaker_opens_;
-    s.breaker_open_ms = breaker_open_ms_;
-    s.reloads = reloads_;
-    s.reload_failures = reload_failures_;
-    s.rollbacks = rollbacks_;
+    ServeStatsSnapshot s = counters;
     for (std::size_t i = 0; i < kMaxTrackedBatch; ++i) {
         if (batch_size_counts_[i] > 0) {
             s.batch_sizes.emplace_back(static_cast<int>(i + 1), batch_size_counts_[i]);
@@ -215,7 +129,7 @@ ServeStatsSnapshot ServeStats::snapshot() const {
     s.wall_seconds =
         clock_started_ ? std::max(0.0, last_done_s_ - first_submit_s_) : 0.0;
     s.throughput_fps = s.wall_seconds > 0
-                           ? static_cast<double>(completed_) / s.wall_seconds
+                           ? static_cast<double>(s.completed) / s.wall_seconds
                            : 0.0;
     s.queue_wait = summarize(queue_wait_);
     s.preprocess = summarize(preprocess_);

@@ -2,9 +2,10 @@
 //
 // Each completed frame records four stage durations (queue wait, preprocess,
 // network forward, postprocess) plus the end-to-end total into log-spaced
-// histograms, from which p50/p95/p99 are interpolated. The recorder is
-// thread-safe (workers report concurrently); snapshot() returns a plain
-// struct and to_json() a single line for the bench harnesses.
+// histograms, from which p50/p95/p99 are interpolated. The recorder is a
+// plain book with no lock of its own: DetectionService keeps it under its
+// one mutex with the rest of its state. snapshot() returns a plain struct
+// and to_json() a single line for the bench harnesses.
 #pragma once
 
 #include <array>
@@ -13,13 +14,10 @@
 #include <utility>
 #include <vector>
 
-#include "sync/mutex.hpp"
-
 namespace dronet::serve {
 
 /// Log-spaced latency histogram covering 1 us .. ~107 s (64 buckets, x1.33
-/// per step). Records are clamped into the covered range. Not thread-safe on
-/// its own; ServeStats serializes access.
+/// per step). Records are clamped into the covered range. Not thread-safe.
 class LatencyHistogram {
   public:
     static constexpr int kBuckets = 64;
@@ -115,63 +113,37 @@ struct ServeStatsSnapshot {
     [[nodiscard]] std::string to_json() const;
 };
 
-/// Thread-safe recorder shared by all service workers.
+/// The service's books. Not thread-safe: the owner serializes every call
+/// (DetectionService under its mu_).
 class ServeStats {
   public:
+    /// Event counters, incremented in place by the owner. The gauges, the
+    /// batch-size list, the throughput clock and the stage summaries stay
+    /// zero here; snapshot() fills the last three.
+    ServeStatsSnapshot counters;
+
+    /// Counts one submitted frame; the first starts the throughput clock.
     void record_submitted() noexcept;
-    void record_rejected() noexcept;
-    void record_dropped() noexcept;
+    /// Counts one completed frame and records its stage timings.
     void record_completed(const FrameTimings& timings) noexcept;
     /// Records one worker forward pass that returned detections for `size`
     /// frames. Sizes beyond kMaxTrackedBatch are clamped into the last bucket.
     void record_batch(std::size_t size) noexcept;
-    // Self-healing events (see ServeStatsSnapshot field docs).
-    void record_failed() noexcept;
-    void record_retry() noexcept;
-    void record_deadline_expired() noexcept;
-    void record_worker_restart() noexcept;
-    void record_degraded(std::uint64_t frames) noexcept;
-    void record_degrade_transition() noexcept;
-    void record_breaker_opened() noexcept;
-    /// Accumulates one closed open-interval of the circuit breaker.
-    void record_breaker_open_ms(double ms) noexcept;
-    // Model lifecycle events (see ServeStatsSnapshot field docs).
-    void record_reload() noexcept;
-    void record_reload_failure() noexcept;
-    void record_rollback() noexcept;
 
     static constexpr std::size_t kMaxTrackedBatch = 64;
 
     [[nodiscard]] ServeStatsSnapshot snapshot() const;
 
   private:
-    mutable sync::Mutex mu_{"ServeStats::mu"};
-    std::uint64_t submitted_ GUARDED_BY(mu_) = 0;
-    std::uint64_t completed_ GUARDED_BY(mu_) = 0;
-    std::uint64_t dropped_ GUARDED_BY(mu_) = 0;
-    std::uint64_t rejected_ GUARDED_BY(mu_) = 0;
-    std::uint64_t batches_ GUARDED_BY(mu_) = 0;
-    std::uint64_t failed_ GUARDED_BY(mu_) = 0;
-    std::uint64_t retries_ GUARDED_BY(mu_) = 0;
-    std::uint64_t deadline_expired_ GUARDED_BY(mu_) = 0;
-    std::uint64_t worker_restarts_ GUARDED_BY(mu_) = 0;
-    std::uint64_t degraded_frames_ GUARDED_BY(mu_) = 0;
-    std::uint64_t degrade_transitions_ GUARDED_BY(mu_) = 0;
-    std::uint64_t breaker_opens_ GUARDED_BY(mu_) = 0;
-    double breaker_open_ms_ GUARDED_BY(mu_) = 0;
-    std::uint64_t reloads_ GUARDED_BY(mu_) = 0;
-    std::uint64_t reload_failures_ GUARDED_BY(mu_) = 0;
-    std::uint64_t rollbacks_ GUARDED_BY(mu_) = 0;
-    std::array<std::uint64_t, kMaxTrackedBatch> batch_size_counts_
-        GUARDED_BY(mu_){};
-    bool clock_started_ GUARDED_BY(mu_) = false;
-    double first_submit_s_ GUARDED_BY(mu_) = 0;  ///< steady-clock seconds
-    double last_done_s_ GUARDED_BY(mu_) = 0;
-    LatencyHistogram queue_wait_ GUARDED_BY(mu_);
-    LatencyHistogram preprocess_ GUARDED_BY(mu_);
-    LatencyHistogram forward_ GUARDED_BY(mu_);
-    LatencyHistogram postprocess_ GUARDED_BY(mu_);
-    LatencyHistogram total_ GUARDED_BY(mu_);
+    std::array<std::uint64_t, kMaxTrackedBatch> batch_size_counts_{};
+    bool clock_started_ = false;
+    double first_submit_s_ = 0;  ///< steady-clock seconds
+    double last_done_s_ = 0;
+    LatencyHistogram queue_wait_;
+    LatencyHistogram preprocess_;
+    LatencyHistogram forward_;
+    LatencyHistogram postprocess_;
+    LatencyHistogram total_;
 };
 
 }  // namespace dronet::serve

@@ -109,34 +109,13 @@ void write_tile(const GemmArgs& g, const float acc[kMr][kNr], int i0, int j0,
     }
 }
 
-/// Full 4x16 tile, B read in place (row-major, !trans_b).
-void micro_full_direct(const GemmArgs& g, const float* ap, int i0, int j0) {
-    float acc[kMr][kNr] = {};
-    const float* b = g.b + j0;
-    for (int kk = 0; kk < g.k; ++kk) {
-        const float* brow = b + static_cast<std::int64_t>(kk) * g.ldb;
-        const float a0 = ap[0];
-        const float a1 = ap[1];
-        const float a2 = ap[2];
-        const float a3 = ap[3];
-        ap += kMr;
-        for (int jj = 0; jj < kNr; ++jj) {
-            const float bv = brow[jj];
-            acc[0][jj] += a0 * bv;
-            acc[1][jj] += a1 * bv;
-            acc[2][jj] += a2 * bv;
-            acc[3][jj] += a3 * bv;
-        }
-    }
-    write_tile(g, acc, i0, j0, kMr, kNr);
-}
-
-/// Full 4x16 tile against a packed B panel (trans_b path).
-void micro_full_packed(const GemmArgs& g, const float* ap, const float* bp,
-                       int i0, int j0) {
+/// Full 4x16 tile. Row kk of the B panel starts at b + kk * b_stride: B in
+/// place (stride ldb, !trans_b) or a packed panel (stride kNr, trans_b).
+void micro_full(const GemmArgs& g, const float* ap, const float* b,
+                std::int64_t b_stride, int i0, int j0) {
     float acc[kMr][kNr] = {};
     for (int kk = 0; kk < g.k; ++kk) {
-        const float* brow = bp + static_cast<std::int64_t>(kk) * kNr;
+        const float* brow = b + kk * b_stride;
         const float a0 = ap[0];
         const float a1 = ap[1];
         const float a2 = ap[2];
@@ -154,14 +133,12 @@ void micro_full_packed(const GemmArgs& g, const float* ap, const float* bp,
 }
 
 /// Edge tile (mr < kMr and/or nr < kNr) on the scalar level, and the n % kNr
-/// column tail on every level. bp may be null (read B in place).
-void micro_edge(const GemmArgs& g, const float* ap, const float* bp, int i0,
-                int j0, int mr, int nr) {
+/// column tail on every level. B as for micro_full.
+void micro_edge(const GemmArgs& g, const float* ap, const float* b,
+                std::int64_t b_stride, int i0, int j0, int mr, int nr) {
     float acc[kMr][kNr] = {};
     for (int kk = 0; kk < g.k; ++kk) {
-        const float* brow = bp != nullptr
-                                ? bp + static_cast<std::int64_t>(kk) * kNr
-                                : g.b + static_cast<std::int64_t>(kk) * g.ldb + j0;
+        const float* brow = b + kk * b_stride;
         const float* av = ap + static_cast<std::int64_t>(kk) * kMr;
         for (int ii = 0; ii < mr; ++ii) {
             const float a = av[ii];
@@ -200,10 +177,10 @@ void packed_rows(const GemmArgs& g, int row_begin, int row_end) {
                                g.ldc, mr);
                 }
             } else if (mr == kMr) {
-                for (; j0 + kNr <= g.n; j0 += kNr) micro_full_direct(g, ap, i0, j0);
+                for (; j0 + kNr <= g.n; j0 += kNr) micro_full(g, ap, g.b + j0, g.ldb, i0, j0);
             }
             for (; j0 < g.n; j0 += kNr) {
-                micro_edge(g, ap, nullptr, i0, j0, mr, std::min(kNr, g.n - j0));
+                micro_edge(g, ap, g.b + j0, g.ldb, i0, j0, mr, std::min(kNr, g.n - j0));
             }
         }
     } else {
@@ -222,9 +199,9 @@ void packed_rows(const GemmArgs& g, int row_begin, int row_end) {
                                g.c + static_cast<std::int64_t>(i0) * g.ldc + j0,
                                g.ldc, mr);
                 } else if (nr == kNr && mr == kMr) {
-                    micro_full_packed(g, ap, bp, i0, j0);
+                    micro_full(g, ap, bp, kNr, i0, j0);
                 } else {
-                    micro_edge(g, ap, bp, i0, j0, mr, nr);
+                    micro_edge(g, ap, bp, kNr, i0, j0, mr, nr);
                 }
             }
         }

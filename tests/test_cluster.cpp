@@ -1372,6 +1372,9 @@ TEST(Router, StopWaitsForTheShutdownAck) {
     EXPECT_EQ(stopped.wait_for(std::chrono::milliseconds(100)), std::future_status::timeout);
     fake.resume();
     ASSERT_EQ(stopped.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    // stop() can return on reading the ack before the fake's thread records
+    // that its write went through; that thread ends right after recording.
+    fake.join();
     EXPECT_TRUE(fake.ack_sent());
 }
 

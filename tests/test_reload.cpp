@@ -236,6 +236,41 @@ TEST(Reload, DivergenceThresholdRejectsDifferentAcceptsIdenticalWeights) {
     std::filesystem::remove(identical);
 }
 
+// A swap commits the new set and counts the reload in one critical section,
+// and stats() reads both in one: a poller never sees a model_version its
+// reload count has not reached, or the reverse.
+TEST(Reload, StatsSnapshotIsOneViewDuringReloads) {
+    Network net = small_net();
+    const auto path = temp_ckpt("dronet_reload_view.weights");
+    save_weights(net, path);
+    DetectionService service(net, small_config());
+
+    std::atomic<bool> done{false};
+    std::uint64_t polls = 0;
+    std::uint64_t torn = 0;
+    std::thread poller([&] {
+        while (!done.load()) {
+            const serve::ServeStatsSnapshot s = service.stats();
+            ++polls;
+            if (s.model_version != 1 + s.reloads) ++torn;
+        }
+    });
+    constexpr std::uint64_t kReloads = 20;
+    for (std::uint64_t i = 0; i < kReloads; ++i) {
+        const ReloadOutcome out = service.reload_checkpoint(path);
+        EXPECT_TRUE(out.ok) << out.error;
+    }
+    done.store(true);
+    poller.join();
+
+    EXPECT_GT(polls, 0u);
+    EXPECT_EQ(torn, 0u) << "of " << polls << " snapshots";
+    const serve::ServeStatsSnapshot s = service.stats();
+    EXPECT_EQ(s.reloads, kReloads);
+    EXPECT_EQ(s.model_version, 1 + kReloads);
+    std::filesystem::remove(path);
+}
+
 // ---- probation & rollback ---------------------------------------------------
 
 TEST(Reload, ProbationWindowAutoRollsBackOnFrameFailure) {

@@ -552,6 +552,35 @@ TEST(DetectionService, RejectPolicyResolvesShedFramesImmediately) {
     EXPECT_EQ(snap.completed + snap.rejected, static_cast<std::uint64_t>(kSubmitted));
 }
 
+// drain() waits for the accounting identity, and finish() counts a frame in
+// the same critical section that makes its future ready: once drain()
+// returns, every future is ready, shed and served alike, with no get().
+TEST(DetectionService, DrainReturnsWithEveryFutureReady) {
+    Network net = build_model(ModelId::kDroNet, {.input_size = 96, .filter_scale = 0.35f});
+    serve::ServiceConfig sc;
+    sc.workers = 1;
+    sc.queue_capacity = 1;
+    sc.policy = BackpressurePolicy::kReject;  // quick submits overflow: some shed
+    sc.pipeline = low_threshold_pipeline();
+    DetectionService service(net, sc);
+    const DetectionDataset frames =
+        generate_dataset(benchmark_scene_config(96), 8, /*seed=*/7);
+
+    std::vector<std::future<ServeResult>> futures;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        futures.push_back(service.submit(frames.image(i)));
+    }
+    service.drain();
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        EXPECT_EQ(futures[i].wait_for(std::chrono::seconds(0)), std::future_status::ready)
+            << "frame " << i;
+    }
+    const serve::ServeStatsSnapshot snap = service.stats();
+    EXPECT_EQ(snap.in_flight, 0u);
+    EXPECT_TRUE(snap.accounting_ok()) << snap.to_json();
+    EXPECT_GT(snap.completed, 0u);  // the first frame always finds room
+}
+
 TEST(DetectionService, MicroBatchingMatchesSerialBitIdentically) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 96, .filter_scale = 0.35f});
     const PipelineConfig pc = low_threshold_pipeline();
@@ -735,16 +764,15 @@ TEST(DetectionService, LiveGaugesTrackQueueInflightAndUptime) {
 
 TEST(ServeStats, SelfHealingCountersAccumulate) {
     serve::ServeStats stats;
-    stats.record_failed();
-    stats.record_retry();
-    stats.record_retry();
-    stats.record_deadline_expired();
-    stats.record_worker_restart();
-    stats.record_degraded(3);
-    stats.record_degrade_transition();
-    stats.record_degrade_transition();
-    stats.record_breaker_opened();
-    stats.record_breaker_open_ms(12.5);
+    serve::ServeStatsSnapshot& c = stats.counters;
+    ++c.failed;
+    c.retries += 2;
+    ++c.deadline_expired;
+    ++c.worker_restarts;
+    c.degraded_frames += 3;
+    c.degrade_transitions += 2;
+    ++c.breaker_opens;
+    c.breaker_open_ms += 12.5;
     const serve::ServeStatsSnapshot snap = stats.snapshot();
     EXPECT_EQ(snap.failed, 1u);
     EXPECT_EQ(snap.retries, 2u);

@@ -59,6 +59,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -199,9 +200,65 @@ Args parse_args(int argc, char** argv) {
     return args;
 }
 
-}  // namespace
+using Submit = std::function<std::future<dronet::serve::ServeResult>(
+    std::uint64_t stream, const dronet::Image& frame)>;
 
-namespace {
+/// The frame pool every stream replays.
+dronet::DetectionDataset frame_pool(const Args& args) {
+    return dronet::generate_dataset(dronet::benchmark_scene_config(args.size),
+                                    std::max(8, args.frames_per_stream),
+                                    /*seed=*/0xbeef);
+}
+
+/// The load both tiers share: --streams paced camera streams replaying one
+/// frame pool, each from a different offset so streams are out of phase like
+/// real cameras, through `submit`. Returns how many futures resolved,
+/// whatever their status; one that throws instead is left uncounted, and
+/// check_resolved reports it.
+std::uint64_t run_streams(const Args& args, const dronet::DetectionDataset& frames,
+                          const Submit& submit) {
+    std::atomic<std::uint64_t> resolved{0};
+    std::vector<std::thread> streams;
+    streams.reserve(static_cast<std::size_t>(args.streams));
+    for (int s = 0; s < args.streams; ++s) {
+        streams.emplace_back([&, s] {
+            std::vector<std::future<dronet::serve::ServeResult>> futures;
+            futures.reserve(static_cast<std::size_t>(args.frames_per_stream));
+            for (int f = 0; f < args.frames_per_stream; ++f) {
+                const std::size_t idx =
+                    (static_cast<std::size_t>(s) * 7 + static_cast<std::size_t>(f)) %
+                    frames.size();
+                futures.push_back(
+                    submit(static_cast<std::uint64_t>(s) + 1, frames.image(idx)));
+                if (args.interval_ms > 0) {
+                    std::this_thread::sleep_for(
+                        std::chrono::duration<double, std::milli>(args.interval_ms));
+                }
+            }
+            for (auto& fut : futures) {
+                try {
+                    (void)fut.get();
+                    resolved.fetch_add(1);
+                } catch (const std::exception&) {
+                    // Left uncounted: check_resolved fails the run.
+                }
+            }
+        });
+    }
+    for (auto& t : streams) t.join();
+    return resolved.load();
+}
+
+/// False, with a FAIL line, unless every submitted future resolved.
+bool check_resolved(const Args& args, std::uint64_t resolved) {
+    const std::uint64_t expected = static_cast<std::uint64_t>(args.streams) *
+                                   static_cast<std::uint64_t>(args.frames_per_stream);
+    if (resolved == expected) return true;
+    std::fprintf(stderr, "# FAIL: resolved %llu of %llu futures\n",
+                 static_cast<unsigned long long>(resolved),
+                 static_cast<unsigned long long>(expected));
+    return false;
+}
 
 /// The multi-process path: the same stream workload, dispatched through a
 /// Router over --cluster spawned serve_worker processes.
@@ -210,9 +267,7 @@ int run_cluster(const Args& args) {
     if (args.worker_bin.empty()) {
         throw std::runtime_error("--cluster needs --worker-bin (no default)");
     }
-    const DetectionDataset frames =
-        generate_dataset(benchmark_scene_config(args.size),
-                         std::max(8, args.frames_per_stream), /*seed=*/0xbeef);
+    const DetectionDataset frames = frame_pool(args);
 
     cluster::RouterConfig rc;
     rc.worker_argv = {args.worker_bin,
@@ -257,31 +312,10 @@ int run_cluster(const Args& args) {
         });
     }
 
-    std::atomic<std::uint64_t> resolved_by_status[6] = {};
-    std::vector<std::thread> streams;
-    streams.reserve(static_cast<std::size_t>(args.streams));
-    for (int s = 0; s < args.streams; ++s) {
-        streams.emplace_back([&, s] {
-            std::vector<std::future<serve::ServeResult>> futures;
-            futures.reserve(static_cast<std::size_t>(args.frames_per_stream));
-            for (int f = 0; f < args.frames_per_stream; ++f) {
-                const std::size_t idx =
-                    (static_cast<std::size_t>(s) * 7 + static_cast<std::size_t>(f)) %
-                    frames.size();
-                futures.push_back(router.submit(
-                    static_cast<std::uint64_t>(s) + 1, frames.image(idx)));
-                if (args.interval_ms > 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::milli>(args.interval_ms));
-                }
-            }
-            for (auto& fut : futures) {
-                const serve::ServeResult r = fut.get();
-                resolved_by_status[static_cast<int>(r.status)].fetch_add(1);
-            }
+    const std::uint64_t resolved =
+        run_streams(args, frames, [&](std::uint64_t stream, const Image& frame) {
+            return router.submit(stream, frame);
         });
-    }
-    for (auto& t : streams) t.join();
     if (chaos.joinable()) chaos.join();
     if (rollout.joinable()) rollout.join();
     router.drain();
@@ -292,8 +326,6 @@ int run_cluster(const Args& args) {
     if (!args.reload_path.empty()) {
         std::printf("%s\n", rollout_report.to_json().c_str());
     }
-    std::uint64_t resolved = 0;
-    for (int s = 0; s < 6; ++s) resolved += resolved_by_status[s].load();
     std::fprintf(stderr,
                  "# cluster of %d x %d-thread workers, %d streams x %d frames "
                  "@%d: %.1f frames/s (ok %llu, rejected %llu, shutdown %llu, "
@@ -307,14 +339,7 @@ int run_cluster(const Args& args) {
                  static_cast<unsigned long long>(fs.worker_deaths),
                  static_cast<unsigned long long>(fs.worker_respawns));
 
-    const std::uint64_t expected = static_cast<std::uint64_t>(args.streams) *
-                                   static_cast<std::uint64_t>(args.frames_per_stream);
-    if (resolved != expected) {
-        std::fprintf(stderr, "# FAIL: resolved %llu of %llu futures\n",
-                     static_cast<unsigned long long>(resolved),
-                     static_cast<unsigned long long>(expected));
-        return 1;
-    }
+    if (!check_resolved(args, resolved)) return 1;
     if (!fs.accounting_ok()) {
         std::fprintf(stderr, "# FAIL: fleet accounting invariant violated\n");
         return 1;
@@ -386,11 +411,7 @@ int run(int argc, char** argv) {
     net.set_batch(1);
     if (net.config().width != args.size) net.resize_input(args.size, args.size);
 
-    // One shared frame pool; each stream replays it from a different offset
-    // so streams are out of phase like real cameras.
-    const DetectionDataset frames =
-        generate_dataset(benchmark_scene_config(args.size),
-                         std::max(8, args.frames_per_stream), /*seed=*/0xbeef);
+    const DetectionDataset frames = frame_pool(args);
 
     serve::ServiceConfig sc;
     sc.workers = args.workers;
@@ -418,26 +439,10 @@ int run(int argc, char** argv) {
         });
     }
 
-    std::vector<std::thread> streams;
-    streams.reserve(static_cast<std::size_t>(args.streams));
-    for (int s = 0; s < args.streams; ++s) {
-        streams.emplace_back([&, s] {
-            std::vector<std::future<serve::ServeResult>> futures;
-            futures.reserve(static_cast<std::size_t>(args.frames_per_stream));
-            for (int f = 0; f < args.frames_per_stream; ++f) {
-                const std::size_t idx =
-                    (static_cast<std::size_t>(s) * 7 + static_cast<std::size_t>(f)) %
-                    frames.size();
-                futures.push_back(service.submit(frames.image(idx)));
-                if (args.interval_ms > 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::milli>(args.interval_ms));
-                }
-            }
-            for (auto& fut : futures) (void)fut.get();
+    const std::uint64_t resolved =
+        run_streams(args, frames, [&](std::uint64_t /*stream*/, const Image& frame) {
+            return service.submit(frame);
         });
-    }
-    for (auto& t : streams) t.join();
     if (reloader.joinable()) reloader.join();
     service.drain();
     service.stop();  // quiesce workers so profiler reads below are safe
@@ -477,6 +482,7 @@ int run(int argc, char** argv) {
             return 1;
         }
     }
+    if (!check_resolved(args, resolved)) return 1;
     if (!snap.accounting_ok()) {
         std::fprintf(stderr, "# FAIL: service accounting invariant violated\n");
         return 1;
