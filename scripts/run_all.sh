@@ -163,7 +163,7 @@ ctest --test-dir build-asan -L chaos "${sanitized[@]}" --output-on-failure 2>&1 
   | tee asan_chaos_output.txt
 
 # Cluster stage under ASan: the multi-process serving tier (wire protocol,
-# router dispatch/admission/breaker, spawned serve_worker fleet) plus the
+# router dispatch/breaker, spawned serve_worker fleet) plus the
 # worker-kill chaos test. fork/exec + socket framing is exactly where ASan
 # earns its keep (fd lifetimes, buffer reassembly, stale-frame handling).
 ctest --test-dir build-asan -L cluster "${sanitized[@]}" --output-on-failure 2>&1 \

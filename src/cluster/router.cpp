@@ -25,10 +25,6 @@ using Clock = std::chrono::steady_clock;
 constexpr Clock::time_point kForever = Clock::time_point::max();
 constexpr Clock::time_point kNoWait{};
 
-double ms_since(Clock::time_point t) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
-}
-
 /// Reaps a child, escalating to SIGKILL after `grace_ms` of WNOHANG polling.
 void reap_child(pid_t pid, std::int64_t grace_ms) {
     if (pid <= 0) return;
@@ -53,8 +49,6 @@ std::string FleetStats::to_json() const {
        << ",\"dropped\":" << dropped << ",\"rejected\":" << rejected
        << ",\"timeout\":" << timeout << ",\"failed\":" << failed
        << ",\"shutdown\":" << shutdown
-       << ",\"rejected_admission\":" << rejected_admission
-       << ",\"rejected_quota\":" << rejected_quota
        << ",\"rejected_no_worker\":" << rejected_no_worker
        << ",\"retried\":" << retried
        << ",\"worker_ejects\":" << worker_ejects
@@ -182,12 +176,11 @@ void Router::start_receiver(Worker& w) {
     w.receiver = std::thread(&Router::receiver_loop, this, std::ref(w), w.fd.get());
 }
 
-std::future<serve::ServeResult> Router::submit(std::uint64_t client_id,
+std::future<serve::ServeResult> Router::submit(std::uint64_t /*client_id*/,
                                                Image frame) {
     const auto now = Clock::now();
     const std::string wire_error = frame_limit_error(frame);
     PendingRequest p;
-    p.client_id = client_id;
     p.retries_left = config_.max_retries;
     p.submit_time = now;
     std::future<serve::ServeResult> fut = p.promise.get_future();
@@ -196,86 +189,50 @@ std::future<serve::ServeResult> Router::submit(std::uint64_t client_id,
     p.frame = std::make_shared<const Image>(std::move(frame));
     const std::shared_ptr<const Image> pixels = p.frame;
 
-    serve::ServeStatus shed_status = serve::ServeStatus::kOk;
-    std::string shed_error;
     Worker* target = nullptr;
     std::uint64_t id = 0;
     {
         sync::MutexLock lock(mu_);
-        note_first_submit_locked();
-        ++counters_.submitted;
-        p.frame_index = next_frame_index_++;
-        // Every submit counts against its client and drain() until it
-        // leaves through finish_locked(), sheds included.
-        ClientState& c = clients_[client_id];
-        const std::uint64_t client_inflight = c.inflight++;
-        ++total_pending_;
+        // Counted here, the frame is unresolved until finish_locked().
+        if (counters_.submitted == 0) first_submit_ = last_resolution_ = now;
+        p.frame_index = static_cast<int>(counters_.submitted++);
+        serve::ServeResult shed;
         if (!wire_error.empty()) {
-            shed_status = serve::ServeStatus::kFailed;
-            shed_error = wire_error;
-        } else if (stopping_) {
-            shed_status = serve::ServeStatus::kShutdown;
-            shed_error = "router stopped";
-        } else {
-            // --- admission control ---
-            if (!c.initialized) {
-                c.initialized = true;
-                c.tokens = config_.client_burst;
-                c.last_refill = now;
-            }
-            if (config_.client_max_inflight > 0 &&
-                client_inflight >= config_.client_max_inflight) {
-                shed_status = serve::ServeStatus::kRejected;
-                shed_error = "admission: client in-flight cap reached";
-                ++counters_.rejected_admission;
-            } else if (config_.client_rate_per_s > 0) {
-                const double elapsed_s =
-                    std::chrono::duration<double>(now - c.last_refill).count();
-                c.tokens = std::min(config_.client_burst,
-                                    c.tokens + elapsed_s * config_.client_rate_per_s);
-                c.last_refill = now;
-                if (c.tokens < 1.0) {
-                    shed_status = serve::ServeStatus::kRejected;
-                    shed_error = "admission: client quota exhausted";
-                    ++counters_.rejected_quota;
-                } else {
-                    c.tokens -= 1.0;
-                }
-            }
-            // --- dispatch ---
-            while (shed_status == serve::ServeStatus::kOk) {
-                target = pick_worker_locked(false);
-                if (target != nullptr) break;
-                // A reloading worker counts as coming back: submits wait
-                // out a rolling reload instead of shedding (matters for
-                // single-worker fleets, which would otherwise reject
-                // every frame for the duration of the swap).
-                const bool any_up = std::any_of(
-                    workers_.begin(), workers_.end(), [](const auto& w) {
-                        return w->state == WorkerState::kUp ||
-                               w->state == WorkerState::kReloading;
-                    });
-                if (stopping_) {
-                    shed_status = serve::ServeStatus::kShutdown;
-                    shed_error = "router stopped";
-                } else if (!any_up) {
-                    shed_status = serve::ServeStatus::kRejected;
-                    shed_error = "no healthy worker available";
-                    ++counters_.rejected_no_worker;
-                } else {
-                    capacity_cv_.wait(mu_);
-                }
-            }
+            shed.status = serve::ServeStatus::kFailed;
+            shed.error = wire_error;
         }
-        if (target != nullptr) {
-            id = register_locked(*target, std::move(p));
-        } else {
-            finish_locked(client_id, shed_status);
+        // Wait for a worker slot. Every shed names its reason, which ends
+        // the wait.
+        while (shed.error.empty()) {
+            if (stopping_) {
+                shed.status = serve::ServeStatus::kShutdown;
+                shed.error = "router stopped";
+                break;
+            }
+            target = pick_worker_locked(false);
+            if (target != nullptr) break;
+            // A reloading worker counts as coming back: submits wait out a
+            // rolling reload instead of shedding (matters for single-worker
+            // fleets, which would otherwise reject every frame for the
+            // duration of the swap).
+            const bool any_up =
+                std::any_of(workers_.begin(), workers_.end(), [](const auto& w) {
+                    return w->state == WorkerState::kUp ||
+                           w->state == WorkerState::kReloading;
+                });
+            if (!any_up) {
+                shed.status = serve::ServeStatus::kRejected;
+                shed.error = "no healthy worker available";
+                ++counters_.rejected_no_worker;
+                break;
+            }
+            capacity_cv_.wait(mu_);
         }
-    }
-    if (target == nullptr) {
-        resolve_shed(std::move(p), shed_status, std::move(shed_error));
-        return fut;
+        if (target == nullptr) {
+            finish_locked(p, std::move(shed));
+            return fut;
+        }
+        id = register_locked(*target, std::move(p));
     }
     // The frame is registered on `target`: if it is never written, the
     // worker's loss re-dispatches or sheds it (never abandons it).
@@ -287,13 +244,13 @@ Router::Worker* Router::pick_worker_locked(bool ignore_inflight_limit) {
     const auto eligible = [&](const Worker& w) {
         if (w.state != WorkerState::kUp) return false;
         if (ignore_inflight_limit || config_.worker_inflight_limit == 0) return true;
-        return w.inflight < config_.worker_inflight_limit;
+        return w.pending.size() < config_.worker_inflight_limit;
     };
     Worker* best = nullptr;
     for (auto& w : workers_) {
         if (!eligible(*w)) continue;
-        if (best == nullptr || w->inflight < best->inflight ||
-            (w->inflight == best->inflight &&
+        if (best == nullptr || w->pending.size() < best->pending.size() ||
+            (w->pending.size() == best->pending.size() &&
              w->gauges.queue_depth < best->gauges.queue_depth)) {
             best = w.get();
         }
@@ -304,25 +261,11 @@ Router::Worker* Router::pick_worker_locked(bool ignore_inflight_limit) {
 std::uint64_t Router::register_locked(Worker& w, PendingRequest p) {
     const std::uint64_t id = next_request_id_++;
     w.pending.emplace(id, std::move(p));
-    w.inflight++;
     return id;
 }
 
-void Router::resolve_shed(PendingRequest p, serve::ServeStatus status,
-                          std::string error) {
-    serve::ServeResult r;
-    r.status = status;
-    r.frame.frame_index = p.frame_index;
-    r.frame.latency_ms = ms_since(p.submit_time);
-    r.error = std::move(error);
-    p.promise.set_value(std::move(r));
-}
-
-// The one exit of a frame from the router's books: counts its outcome, then
-// releases its client's in-flight slot and the drain barrier. The caller
-// fulfils the promise after dropping mu_, so the count is visible first.
-void Router::finish_locked(std::uint64_t client_id, serve::ServeStatus status) {
-    switch (status) {
+void Router::finish_locked(PendingRequest& p, serve::ServeResult r) {
+    switch (r.status) {
         case serve::ServeStatus::kOk: ++counters_.ok; break;
         case serve::ServeStatus::kDropped: ++counters_.dropped; break;
         case serve::ServeStatus::kRejected: ++counters_.rejected; break;
@@ -331,16 +274,12 @@ void Router::finish_locked(std::uint64_t client_id, serve::ServeStatus status) {
         case serve::ServeStatus::kShutdown: ++counters_.shutdown; break;
     }
     last_resolution_ = Clock::now();
-    clients_[client_id].inflight--;
-    if (--total_pending_ == 0) drained_cv_.notify_all();
-}
-
-void Router::note_first_submit_locked() {
-    if (!clock_started_) {
-        clock_started_ = true;
-        first_submit_ = Clock::now();
-        last_resolution_ = first_submit_;
-    }
+    r.frame.frame_index = p.frame_index;  // fleet-wide index, not worker-local
+    r.frame.latency_ms =
+        std::chrono::duration<double, std::milli>(last_resolution_ - p.submit_time)
+            .count();
+    p.promise.set_value(std::move(r));
+    if (counters_.accounting_ok()) drained_cv_.notify_all();
 }
 
 void Router::receiver_loop(Worker& w, int fd) {
@@ -380,6 +319,7 @@ void Router::handle_reply(Worker& w, Frame& frame) {
         wire.status = serve::ServeStatus::kFailed;
         wire.error = decode_error(frame.payload);
     }
+    // Declared before the lock: the frame's pixels are freed after it.
     std::optional<PendingRequest> detect;
     std::optional<std::promise<Frame>> call;
     {
@@ -391,28 +331,20 @@ void Router::handle_reply(Worker& w, Frame& frame) {
         if (detect_reply && it != w.pending.end()) {
             detect = std::move(it->second);
             w.pending.erase(it);
-            if (w.inflight > 0) w.inflight--;
-            finish_locked(detect->client_id, wire.status);
+            serve::ServeResult r;
+            r.status = wire.status;
+            r.frame.detections = std::move(wire.detections);
+            r.timings = wire.timings;
+            r.error = std::move(wire.error);
+            finish_locked(*detect, std::move(r));
         } else if (const auto c = w.calls.find(id); c != w.calls.end()) {
             call = std::move(c->second);
             w.calls.erase(c);
         }
         // Neither: stale (re-dispatched, shed, or its call timed out).
     }
-    if (call) {
-        call->set_value(std::move(frame));  // the caller decodes it
-        return;
-    }
-    if (!detect) return;
-    capacity_cv_.notify_all();
-    serve::ServeResult r;
-    r.status = wire.status;
-    r.frame.frame_index = detect->frame_index;  // fleet-wide index, not worker-local
-    r.frame.detections = std::move(wire.detections);
-    r.frame.latency_ms = ms_since(detect->submit_time);
-    r.timings = wire.timings;
-    r.error = std::move(wire.error);
-    detect->promise.set_value(std::move(r));
+    if (call) call->set_value(std::move(frame));  // the caller decodes it
+    if (detect) capacity_cv_.notify_all();
 }
 
 void Router::handle_pong(Worker& w, const Frame& frame) {
@@ -454,7 +386,6 @@ void Router::take_worker_out(Worker& w, WorkerState to_state) {
         stranded.reserve(w.pending.size());
         for (auto& [id, p] : w.pending) stranded.push_back(std::move(p));
         w.pending.clear();
-        w.inflight = 0;
         broken.swap(w.calls);
     }
     capacity_cv_.notify_all();
@@ -474,18 +405,16 @@ void Router::redispatch_or_shed(std::vector<PendingRequest> stranded) {
                 // Retries jump the in-flight cap: they already waited once.
                 target = pick_worker_locked(true);
             }
-            if (target != nullptr) {
-                p.retries_left--;
-                ++counters_.retried;
-                id = register_locked(*target, std::move(p));
-            } else {
-                finish_locked(p.client_id, serve::ServeStatus::kShutdown);
+            if (target == nullptr) {
+                serve::ServeResult shed;
+                shed.status = serve::ServeStatus::kShutdown;
+                shed.error = "worker lost; no re-dispatch budget or healthy worker";
+                finish_locked(p, std::move(shed));
+                continue;
             }
-        }
-        if (target == nullptr) {
-            resolve_shed(std::move(p), serve::ServeStatus::kShutdown,
-                         "worker lost; no re-dispatch budget or healthy worker");
-            continue;
+            p.retries_left--;
+            ++counters_.retried;
+            id = register_locked(*target, std::move(p));
         }
         send(*target, kForever, [&](int fd) { write_detect_request(fd, id, *pixels); });
     }
@@ -655,14 +584,14 @@ void Router::health_loop() {
 
 void Router::drain() {
     sync::MutexLock lock(mu_);
-    while (total_pending_ != 0) drained_cv_.wait(mu_);
+    while (!counters_.accounting_ok()) drained_cv_.wait(mu_);
 }
 
 void Router::stop() {
     sync::MutexLock sg(stop_mu_);
-    if (stopped_.exchange(true)) return;
     {
         sync::MutexLock lock(mu_);
+        if (stopping_) return;
         stopping_ = true;
     }
     capacity_cv_.notify_all();
@@ -724,7 +653,7 @@ FleetStats Router::fleet_stats(std::int64_t timeout_ms) {
     {
         sync::MutexLock lock(mu_);
         out = counters_;
-        if (clock_started_) {
+        if (out.submitted > 0) {
             out.wall_seconds =
                 std::chrono::duration<double>(last_resolution_ - first_submit_)
                     .count();

@@ -8,8 +8,6 @@
 //  * dispatches detect requests least-loaded (router-side in-flight count,
 //    worker queue-depth gauge as tiebreak, lowest slot on a full tie),
 //    pipelining up to `worker_inflight_limit` frames per worker;
-//  * enforces per-client admission control: an in-flight cap and a
-//    token-bucket quota, shedding violators immediately as kRejected;
 //  * health-checks workers with ping frames and feeds the results into one
 //    serve::Breaker per worker, the breaker the in-process service runs:
 //    `eject_threshold` consecutive failures eject a worker, after
@@ -26,7 +24,6 @@
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -77,14 +74,8 @@ struct RouterConfig {
     std::vector<int> adopt_fds;
 
     /// Max frames the router keeps in flight per worker; further submits
-    /// block until a slot frees (admission control sheds before this point
-    /// for well-configured clients). 0 = unlimited.
+    /// block until a slot frees. 0 = unlimited.
     std::size_t worker_inflight_limit = 4;
-
-    // --- per-client admission control (0 disables each knob) ---
-    std::size_t client_max_inflight = 0;  ///< cap on unresolved frames per client
-    double client_rate_per_s = 0;         ///< token-bucket refill rate
-    double client_burst = 8;              ///< token-bucket depth
 
     // --- health / breaker / respawn ---
     std::int64_t health_interval_ms = 50;  ///< ping cadence per worker (> 0)
@@ -109,13 +100,11 @@ struct FleetStats {
     std::uint64_t submitted = 0;
     std::uint64_t ok = 0;
     std::uint64_t dropped = 0;
-    std::uint64_t rejected = 0;  ///< admission + quota + no-worker + worker-shed
+    std::uint64_t rejected = 0;  ///< no-worker + worker-shed
     std::uint64_t timeout = 0;
     std::uint64_t failed = 0;
     std::uint64_t shutdown = 0;
-    // Rejection breakdown (all included in `rejected` above).
-    std::uint64_t rejected_admission = 0;  ///< client in-flight cap
-    std::uint64_t rejected_quota = 0;      ///< token bucket empty
+    // Rejection breakdown (included in `rejected` above).
     std::uint64_t rejected_no_worker = 0;  ///< no healthy worker available
     // Fleet lifecycle.
     std::uint64_t retried = 0;         ///< frames re-dispatched off a lost worker
@@ -162,15 +151,17 @@ class Router {
     Router(const Router&) = delete;
     Router& operator=(const Router&) = delete;
 
-    /// Dispatches one frame on behalf of `client_id`. Thread-safe. The future
-    /// always resolves (admission sheds and fleet failures included); a frame
-    /// the wire cannot carry (frame_limit_error) resolves kFailed at once.
-    /// Blocks only when every healthy worker is at worker_inflight_limit.
+    /// Dispatches one frame. Thread-safe. The client id tags the caller's
+    /// stream and is not read: every client shares one dispatch rule. The
+    /// future always resolves (fleet failures included); a frame the wire
+    /// cannot carry (frame_limit_error) resolves kFailed at once. Frames are
+    /// indexed in submit order, from 0. Blocks only when every healthy
+    /// worker is at worker_inflight_limit.
     [[nodiscard]] std::future<serve::ServeResult> submit(std::uint64_t client_id,
                                                          Image frame);
 
-    /// Blocks until no accepted frame is unresolved. Producers should be
-    /// quiescent, as with DetectionService::drain().
+    /// Blocks until every submitted frame's future is ready. Producers
+    /// should be quiescent, as with DetectionService::drain().
     void drain();
 
     /// Graceful shutdown: workers get kShutdown and are awaited up to
@@ -211,7 +202,6 @@ class Router {
 
     struct PendingRequest {
         std::promise<serve::ServeResult> promise;
-        std::uint64_t client_id = 0;
         /// The pixels, kept for re-dispatch after a worker loss and shared
         /// with any request write still sending them.
         std::shared_ptr<const Image> frame;
@@ -237,7 +227,8 @@ class Router {
         /// A send() holds the socket; `fd` is neither written nor replaced
         /// by anyone else until it is released.
         bool writing = false;
-        std::size_t inflight = 0;
+        /// Detect requests awaiting their reply; its size is the worker's
+        /// load for dispatch.
         std::map<std::uint64_t, PendingRequest> pending;
         /// Stats and reload requests awaiting their reply frame.
         std::map<std::uint64_t, std::promise<Frame>> calls;
@@ -254,13 +245,6 @@ class Router {
         Worker* worker = nullptr;
         std::uint64_t id = 0;
         std::future<Frame> reply;
-    };
-
-    struct ClientState {
-        std::uint64_t inflight = 0;
-        double tokens = 0;
-        Clock::time_point last_refill;
-        bool initialized = false;
     };
 
     void spawn_into_slot(std::size_t slot);       // mu_ NOT held
@@ -300,32 +284,25 @@ class Router {
     /// Registers `p` on `w` under mu_ and returns its request id for the
     /// caller to write the request outside the lock.
     std::uint64_t register_locked(Worker& w, PendingRequest p) REQUIRES(mu_);
-    void resolve_shed(PendingRequest p, serve::ServeStatus status,
-                      std::string error);
-    /// The one exit of a frame from the router's books (see the definition):
-    /// every outcome counter and every release of a client's in-flight count
-    /// or of total_pending_ happens only here.
-    void finish_locked(std::uint64_t client_id, serve::ServeStatus status)
-        REQUIRES(mu_);
-    void note_first_submit_locked() REQUIRES(mu_);
+    /// The one exit of a frame from the router: counts `r`'s outcome, stamps
+    /// its frame index and latency, fulfils `p`'s promise and wakes drain(),
+    /// all in one critical section.
+    void finish_locked(PendingRequest& p, serve::ServeResult r) REQUIRES(mu_);
 
     RouterConfig config_;
     std::vector<std::unique_ptr<Worker>> workers_;
 
     mutable sync::Mutex mu_{"Router::mu"};
     sync::CondVar capacity_cv_;  ///< a worker slot freed / state change
-    sync::CondVar drained_cv_;   ///< pending count hit zero
+    sync::CondVar drained_cv_;   ///< every submitted frame resolved
     sync::CondVar socket_cv_;    ///< a socket was released / a worker died
     sync::CondVar health_cv_;    ///< stopping_ was set
     bool stopping_ GUARDED_BY(mu_) = false;
     std::uint64_t next_request_id_ GUARDED_BY(mu_) = 1;
-    int next_frame_index_ GUARDED_BY(mu_) = 0;
-    std::uint64_t total_pending_ GUARDED_BY(mu_) = 0;
-    std::map<std::uint64_t, ClientState> clients_ GUARDED_BY(mu_);
 
-    // Router counters (snapshot into FleetStats).
+    // The router's books (snapshot into FleetStats): `submitted` is the next
+    // frame index, and a frame is unresolved while accounting_ok() is false.
     FleetStats counters_ GUARDED_BY(mu_);
-    bool clock_started_ GUARDED_BY(mu_) = false;
     Clock::time_point first_submit_ GUARDED_BY(mu_);
     Clock::time_point last_resolution_ GUARDED_BY(mu_);
 
@@ -333,7 +310,6 @@ class Router {
 
     sync::Mutex stop_mu_{"Router::stop_mu"};  ///< serializes stop() callers
     sync::Mutex rollout_mu_{"Router::rollout_mu"};  ///< one rolling reload at a time
-    std::atomic<bool> stopped_{false};
 };
 
 }  // namespace dronet::cluster

@@ -3,7 +3,9 @@
 #include <exception>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "cluster/protocol.hpp"
 #include "io/fdio.hpp"
@@ -37,50 +39,6 @@ void WorkerServer::respond(std::uint64_t request_id, const serve::ServeResult& r
     const std::vector<std::uint8_t> payload = encode_detect_response(wire);
     sync::MutexLock lock(write_mu_);
     write_frame(fd_, Opcode::kDetectResponse, request_id, payload);
-}
-
-void WorkerServer::start_reload(std::uint64_t request_id, bool rollback,
-                                std::string path) {
-    auto respond_reload = [this, request_id](const serve::ReloadOutcome& out) {
-        WireReloadResponse wire;
-        wire.ok = out.ok;
-        wire.model_version = out.model_version;
-        wire.error = out.error;
-        if (peer_gone_.load(std::memory_order_acquire)) return;
-        try {
-            sync::MutexLock lock(write_mu_);
-            write_frame(fd_, Opcode::kReloadResponse, request_id,
-                        encode_reload_response(wire));
-        } catch (const std::exception&) {
-            peer_gone_.store(true, std::memory_order_release);
-        }
-    };
-    if (reload_busy_.exchange(true, std::memory_order_acq_rel)) {
-        serve::ReloadOutcome busy;
-        busy.model_version = service_.model_version();
-        busy.error = "reload already in progress";
-        respond_reload(busy);
-        return;
-    }
-    // The previous reload thread (if any) has finished its work — busy was
-    // false — but still needs joining before we reuse the slot.
-    if (reload_thread_.joinable()) reload_thread_.join();
-    reload_thread_ = std::thread([this, rollback, path = std::move(path),
-                                  respond_reload] {
-        serve::ReloadOutcome out;
-        try {
-            out = rollback ? service_.rollback()
-                           : service_.reload_checkpoint(path);
-        } catch (const std::exception& e) {
-            out.ok = false;
-            out.model_version = service_.model_version();
-            out.error = e.what();
-        }
-        // Clear busy before replying: a router that serializes reloads on the
-        // reply must never race the flag into a spurious busy rejection.
-        reload_busy_.store(false, std::memory_order_release);
-        respond_reload(out);
-    });
 }
 
 void WorkerServer::resolver_loop() {
@@ -174,7 +132,21 @@ std::uint64_t WorkerServer::run() {
                         write_frame(fd_, Opcode::kError, id, encode_error(e.what()));
                         break;
                     }
-                    start_reload(id, req.rollback, std::move(req.weights_path));
+                    // Run here, on the reader: the router sends a reloading
+                    // worker nothing else until it answers (a rollback only
+                    // swaps a pointer back).
+                    serve::ReloadOutcome out;
+                    try {
+                        out = req.rollback ? service_.rollback()
+                                           : service_.reload_checkpoint(req.weights_path);
+                    } catch (const std::exception& e) {
+                        out.model_version = service_.model_version();
+                        out.error = e.what();
+                    }
+                    const std::vector<std::uint8_t> payload = encode_reload_response(
+                        {.ok = out.ok, .model_version = out.model_version, .error = out.error});
+                    sync::MutexLock lock(write_mu_);
+                    write_frame(fd_, Opcode::kReloadResponse, id, payload);
                     break;
                 }
                 case Opcode::kShutdown:
@@ -200,7 +172,6 @@ std::uint64_t WorkerServer::run() {
     // accepted frame before the queue reports empty-and-closed.
     pending_.close();
     resolver.join();
-    if (reload_thread_.joinable()) reload_thread_.join();
     if (shutdown_requested && !peer_gone_.load(std::memory_order_acquire)) {
         try {
             sync::MutexLock lock(write_mu_);

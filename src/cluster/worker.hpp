@@ -13,13 +13,17 @@
 // kShutdown; every in-flight frame is resolved and answered (kShutdown
 // additionally gets a kShutdownAck as the final frame) before run() returns.
 // tools/serve_worker is the process entry point around this class.
+//
+// A reload or rollback request runs on the reader, which answers it before
+// it reads the next frame. The router drains a worker and sends it nothing
+// else while it reloads, and a rollback only swaps a pointer. So a stats
+// probe that arrives during a reload is answered when the reload returns,
+// and a SIGTERM drain starts at that point too.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <string>
-#include <thread>
 
 #include "serve/bounded_queue.hpp"
 #include "serve/detection_service.hpp"
@@ -49,7 +53,6 @@ class WorkerServer {
 
     void resolver_loop();
     void respond(std::uint64_t request_id, const serve::ServeResult& r);
-    void start_reload(std::uint64_t request_id, bool rollback, std::string path);
 
     serve::DetectionService& service_;
     int fd_;
@@ -60,11 +63,6 @@ class WorkerServer {
     serve::BoundedQueue<Pending> pending_;
     std::atomic<bool> peer_gone_{false};  ///< stop writing after EPIPE
     std::uint64_t served_ = 0;
-    /// Reloads run on their own thread so the reader keeps answering pings
-    /// (and accepting frames) while the candidate loads and canaries; one at
-    /// a time — a second request while busy is answered with a rejection.
-    std::thread reload_thread_;
-    std::atomic<bool> reload_busy_{false};
 };
 
 }  // namespace dronet::cluster

@@ -57,16 +57,6 @@ void LatencyHistogram::record(double ms) noexcept {
     max_ms_ = std::max(max_ms_, ms);
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
-    for (int i = 0; i < kBuckets; ++i) {
-        buckets_[static_cast<std::size_t>(i)] +=
-            other.buckets_[static_cast<std::size_t>(i)];
-    }
-    count_ += other.count_;
-    total_ms_ += other.total_ms_;
-    max_ms_ = std::max(max_ms_, other.max_ms_);
-}
-
 double LatencyHistogram::mean_ms() const noexcept {
     return count_ > 0 ? total_ms_ / static_cast<double>(count_) : 0.0;
 }
@@ -96,11 +86,7 @@ double LatencyHistogram::percentile(double p) const noexcept {
 }
 
 void ServeStats::record_submitted() noexcept {
-    ++counters.submitted;
-    if (!clock_started_) {
-        clock_started_ = true;
-        first_submit_s_ = now_seconds();
-    }
+    if (counters.submitted++ == 0) first_submit_s_ = now_seconds();
 }
 
 void ServeStats::record_batch(std::size_t size) noexcept {
@@ -127,7 +113,7 @@ ServeStatsSnapshot ServeStats::snapshot() const {
         }
     }
     s.wall_seconds =
-        clock_started_ ? std::max(0.0, last_done_s_ - first_submit_s_) : 0.0;
+        s.submitted > 0 ? std::max(0.0, last_done_s_ - first_submit_s_) : 0.0;
     s.throughput_fps = s.wall_seconds > 0
                            ? static_cast<double>(s.completed) / s.wall_seconds
                            : 0.0;

@@ -23,7 +23,6 @@ class LatencyHistogram {
     static constexpr int kBuckets = 64;
 
     void record(double ms) noexcept;
-    void merge(const LatencyHistogram& other) noexcept;
 
     [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
     [[nodiscard]] double mean_ms() const noexcept;
@@ -136,8 +135,7 @@ class ServeStats {
 
   private:
     std::array<std::uint64_t, kMaxTrackedBatch> batch_size_counts_{};
-    bool clock_started_ = false;
-    double first_submit_s_ = 0;  ///< steady-clock seconds
+    double first_submit_s_ = 0;  ///< steady-clock seconds; set by the first submit
     double last_done_s_ = 0;
     LatencyHistogram queue_wait_;
     LatencyHistogram preprocess_;

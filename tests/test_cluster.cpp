@@ -1,9 +1,10 @@
 // Tests for the sharded serving tier (src/cluster): wire-protocol codecs and
 // framing, the WorkerServer loop over a real socketpair, and the Router —
-// dispatch, admission control, retry-on-worker-loss, the eject/half-open/
-// re-admit breaker, and spawned serve_worker processes end to end. These
-// carry the `cluster` ctest label; scripts/run_all.sh re-runs them under
-// AddressSanitizer. The worker-kill chaos runs live in test_cluster_chaos.
+// dispatch, its books (frame indices, drain), retry-on-worker-loss, the
+// eject/half-open/re-admit breaker, and spawned serve_worker processes end
+// to end. These carry the `cluster` ctest label; scripts/run_all.sh re-runs
+// them under AddressSanitizer. The worker-kill chaos runs live in
+// test_cluster_chaos.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -23,7 +24,9 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/protocol.hpp"
@@ -97,23 +100,30 @@ void randomize_params(Network& net, std::uint64_t seed) {
     }
 }
 
-/// Saves a same-architecture checkpoint with different (seeded) weights —
-/// the rollout candidate. Spawned serve_worker processes at the same size and
+/// A same-architecture checkpoint with different (seeded) weights — the
+/// rollout candidate. Spawned serve_worker processes at the same size and
 /// filter scale build the identical deterministic model, so the candidate is
-/// loadable by every worker in the fleet.
-std::filesystem::path save_perturbed_checkpoint(const Network& live,
-                                                const char* name,
-                                                std::uint64_t seed) {
-    Network cand = clone_network(live);
-    randomize_params(cand, seed);
-    // Per-process filename: ctest runs test_cluster and test_cluster_inproc
-    // (same binary, different filter) concurrently.
-    const auto path = std::filesystem::temp_directory_path() /
-                      (std::string(name) + "." + std::to_string(::getpid()) +
-                       ".weights");
-    save_weights(cand, path);
-    return path;
-}
+/// loadable by every worker in the fleet. It is saved as
+/// `<temp dir>/<name>.<pid>.weights` (per process: ctest runs test_cluster
+/// and test_cluster_inproc, one binary with two filters, concurrently) and
+/// removed when it goes out of scope, a failed ASSERT included.
+struct PerturbedCheckpoint {
+    std::filesystem::path path;
+
+    PerturbedCheckpoint(const Network& live, const char* name, std::uint64_t seed)
+        : path(std::filesystem::temp_directory_path() /
+               (std::string(name) + "." + std::to_string(::getpid()) + ".weights")) {
+        Network cand = clone_network(live);
+        randomize_params(cand, seed);
+        save_weights(cand, path);
+    }
+    ~PerturbedCheckpoint() {
+        std::error_code ec;
+        std::filesystem::remove(path, ec);
+    }
+    PerturbedCheckpoint(const PerturbedCheckpoint&) = delete;
+    PerturbedCheckpoint& operator=(const PerturbedCheckpoint&) = delete;
+};
 
 // ---- protocol ---------------------------------------------------------------
 
@@ -553,8 +563,7 @@ TEST(WorkerServer, UnsupportedChannelCountGetsErrorReply) {
 
 TEST(WorkerServer, ReloadSwapsRollsBackAndRejectsBadCandidates) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
-    const auto path =
-        save_perturbed_checkpoint(net, "dronet_worker_reload", 0x31);
+    const PerturbedCheckpoint cand(net, "dronet_worker_reload", 0x31);
     serve::ServiceConfig sc;
     sc.workers = 1;
     sc.pipeline = low_threshold_pipeline();
@@ -578,10 +587,10 @@ TEST(WorkerServer, ReloadSwapsRollsBackAndRejectsBadCandidates) {
     };
 
     // Commit the candidate, roll it back, then watch a bad path get rejected
-    // with the live model untouched — all over the wire, on the worker's
-    // dedicated reload thread (the reader keeps answering in the meantime).
+    // with the live model untouched — all over the wire, each answered by
+    // the worker's reader before it reads the next request.
     const cluster::WireReloadResponse swapped =
-        roundtrip({.rollback = false, .weights_path = path.string()}, 301);
+        roundtrip({.rollback = false, .weights_path = cand.path.string()}, 301);
     EXPECT_TRUE(swapped.ok) << swapped.error;
     EXPECT_EQ(swapped.model_version, 2u);
     const cluster::WireReloadResponse rolled =
@@ -610,7 +619,7 @@ TEST(WorkerServer, ReloadSwapsRollsBackAndRejectsBadCandidates) {
 /// answered only while answer_pings is on (or held for answer_oldest_ping()
 /// while hold_pings is on), stall_on_next_detect() stops it reading
 /// mid-frame until resume(), and stall_on_shutdown() holds its ack until
-/// resume(). That makes admission, dispatch, retry, and breaker transitions
+/// resume(). That makes dispatch, retry, and breaker transitions
 /// deterministic — no timing races on real compute.
 class FakeWorker {
   public:
@@ -888,65 +897,69 @@ TEST(Router, AdoptedWorkerEndToEndMatchesSerialPipeline) {
     service.stop();
 }
 
-TEST(Router, ClientInflightCapShedsAsRejected) {
+// drain() waits for the futures, not only the counters: every frame's
+// promise is fulfilled in the same critical section that counts it. Each
+// round holds its frames, releases them and drains while the replies are
+// still arriving.
+TEST(Router, DrainReturnsWithEveryFutureReady) {
     SocketPair sp;
     const int adopt_fd = sp.a.release();
     FakeWorker fake(std::move(sp.b));
     cluster::RouterConfig rc = adopt_config({adopt_fd});
-    rc.client_max_inflight = 2;
-    rc.worker_inflight_limit = 0;  // unlimited: only admission sheds
-    cluster::Router router(rc);
-
-    const Image img = patterned_image(8, 8, 3, 1.0f);
-    std::vector<std::future<ServeResult>> futures;
-    for (int i = 0; i < 4; ++i) futures.push_back(router.submit(/*client*/ 5, img));
-    ASSERT_TRUE(fake.wait_for_held(2));
-    // Frames 3 and 4 breached the cap: resolved immediately, no dispatch.
-    EXPECT_EQ(futures[2].wait_for(std::chrono::seconds(10)),
-              std::future_status::ready);
-    ServeResult r3 = futures[2].get();
-    EXPECT_EQ(r3.status, ServeStatus::kRejected);
-    EXPECT_NE(r3.error.find("in-flight"), std::string::npos) << r3.error;
-    EXPECT_EQ(futures[3].get().status, ServeStatus::kRejected);
-    // A different client is not throttled by client 5's backlog.
-    std::future<ServeResult> other = router.submit(/*client*/ 6, img);
-    ASSERT_TRUE(fake.wait_for_held(3));
-    fake.release_all();
-    EXPECT_EQ(futures[0].get().status, ServeStatus::kOk);
-    EXPECT_EQ(futures[1].get().status, ServeStatus::kOk);
-    EXPECT_EQ(other.get().status, ServeStatus::kOk);
-    const cluster::FleetStats fs = router.fleet_stats(/*timeout_ms=*/100);
-    EXPECT_TRUE(fs.accounting_ok());
-    EXPECT_EQ(fs.rejected_admission, 2u);
-    EXPECT_EQ(fs.ok, 3u);
-    router.stop();
-}
-
-TEST(Router, TokenBucketQuotaShedsAsRejected) {
-    SocketPair sp;
-    const int adopt_fd = sp.a.release();
-    FakeWorker fake(std::move(sp.b));
-    cluster::RouterConfig rc = adopt_config({adopt_fd});
-    rc.client_rate_per_s = 1e-9;  // effectively no refill inside the test
-    rc.client_burst = 2;
     rc.worker_inflight_limit = 0;
     cluster::Router router(rc);
 
     const Image img = patterned_image(8, 8, 3, 1.0f);
-    std::vector<std::future<ServeResult>> futures;
-    for (int i = 0; i < 4; ++i) futures.push_back(router.submit(/*client*/ 9, img));
+    constexpr int kRounds = 50;
+    constexpr int kFrames = 4;
+    for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::future<ServeResult>> futures;
+        for (int i = 0; i < kFrames; ++i) futures.push_back(router.submit(1, img));
+        ASSERT_TRUE(fake.wait_for_held(kFrames));
+        fake.release_all();
+        router.drain();
+        for (std::size_t i = 0; i < futures.size(); ++i) {
+            ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+                      std::future_status::ready)
+                << "round " << round << " frame " << i;
+        }
+    }
+    const cluster::FleetStats fs = router.fleet_stats(/*timeout_ms=*/100);
+    EXPECT_TRUE(fs.accounting_ok()) << fs.to_json();
+    EXPECT_EQ(fs.ok, static_cast<std::uint64_t>(kRounds * kFrames));
+    router.stop();
+}
+
+// One counter indexes every frame in submit order, whichever way it leaves:
+// answered by a worker, failed at the wire limit, or shed.
+TEST(Router, FrameIndicesFollowSubmissionOrder) {
+    SocketPair sp;
+    const int adopt_fd = sp.a.release();
+    FakeWorker fake(std::move(sp.b));
+    cluster::Router router(adopt_config({adopt_fd}));
+
+    const Image img = patterned_image(8, 8, 3, 1.0f);
+    std::future<ServeResult> dispatched0 = router.submit(1, img);
+    std::future<ServeResult> too_wide = router.submit(2, Image(65536, 1, 3));
+    std::future<ServeResult> dispatched2 = router.submit(1, img);
     ASSERT_TRUE(fake.wait_for_held(2));
     fake.release_all();
-    EXPECT_EQ(futures[0].get().status, ServeStatus::kOk);
-    EXPECT_EQ(futures[1].get().status, ServeStatus::kOk);
-    ServeResult r3 = futures[2].get();
-    EXPECT_EQ(r3.status, ServeStatus::kRejected);
-    EXPECT_NE(r3.error.find("quota"), std::string::npos) << r3.error;
-    EXPECT_EQ(futures[3].get().status, ServeStatus::kRejected);
-    const cluster::FleetStats fs = router.fleet_stats(/*timeout_ms=*/100);
-    EXPECT_TRUE(fs.accounting_ok());
-    EXPECT_EQ(fs.rejected_quota, 2u);
+    router.drain();
     router.stop();
+    std::future<ServeResult> shed = router.submit(3, img);  // after stop: kShutdown
+
+    const ServeResult r0 = dispatched0.get();
+    const ServeResult r1 = too_wide.get();
+    const ServeResult r2 = dispatched2.get();
+    const ServeResult r3 = shed.get();
+    EXPECT_EQ(r0.status, ServeStatus::kOk);
+    EXPECT_EQ(r1.status, ServeStatus::kFailed);
+    EXPECT_EQ(r2.status, ServeStatus::kOk);
+    EXPECT_EQ(r3.status, ServeStatus::kShutdown);
+    EXPECT_EQ(r0.frame.frame_index, 0);
+    EXPECT_EQ(r1.frame.frame_index, 1);
+    EXPECT_EQ(r2.frame.frame_index, 2);
+    EXPECT_EQ(r3.frame.frame_index, 3);
 }
 
 // Least-loaded dispatch: equal in-flight counts (and the fakes' zero queue
@@ -1562,8 +1575,7 @@ TEST(Router, SpawnedFleetRollingReloadMatchesColdStart) {
     // filter scale, so a local clone can author the rollout candidate.
     Network local =
         build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
-    const auto path =
-        save_perturbed_checkpoint(local, "dronet_rollout_cand", 0x90d);
+    const PerturbedCheckpoint cand(local, "dronet_rollout_cand", 0x90d);
 
     cluster::RouterConfig rc;
     rc.worker_argv = {worker_bin,  "--size",           "64",
@@ -1579,7 +1591,7 @@ TEST(Router, SpawnedFleetRollingReloadMatchesColdStart) {
         futures.push_back(router.submit(1 + (i % 2), frames.image(i)));
     }
     const cluster::RolloutReport report =
-        router.rolling_reload(path.string(), /*timeout_ms=*/60000);
+        router.rolling_reload(cand.path.string(), /*timeout_ms=*/60000);
     // Every future accepted before/during the rollout resolves kOk.
     for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kOk);
     ASSERT_TRUE(report.ok) << report.error;
@@ -1601,7 +1613,7 @@ TEST(Router, SpawnedFleetRollingReloadMatchesColdStart) {
     // the candidate checkpoint.
     Network cold =
         build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
-    load_weights(cold, path);
+    load_weights(cold, cand.path);
     serve::ServiceConfig sc;
     sc.workers = 1;
     // Match the spawned workers' pipeline exactly: default NMS threshold,

@@ -13,7 +13,9 @@
 #include <filesystem>
 #include <future>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/router.hpp"
@@ -134,8 +136,20 @@ TEST(ClusterChaos, WorkerKillMidRolloutAbortsAndRollsBackFleet) {
             }
         }
     }
-    const auto path =
-        std::filesystem::temp_directory_path() / "dronet_rollout_kill.weights";
+    // Removed however the test ends, a failed ASSERT included.
+    struct RemoveOnExit {
+        std::filesystem::path path;
+        explicit RemoveOnExit(std::filesystem::path p) : path(std::move(p)) {}
+        ~RemoveOnExit() {
+            std::error_code ec;
+            std::filesystem::remove(path, ec);
+        }
+        RemoveOnExit(const RemoveOnExit&) = delete;
+        RemoveOnExit& operator=(const RemoveOnExit&) = delete;
+    };
+    const RemoveOnExit file(std::filesystem::temp_directory_path() /
+                            "dronet_rollout_kill.weights");
+    const std::filesystem::path& path = file.path;
     save_weights(cand, path);
 
     cluster::RouterConfig rc;

@@ -274,18 +274,6 @@ TEST(LatencyHistogram, PercentilesBracketTrueValues) {
     EXPECT_EQ(LatencyHistogram{}.percentile(50), 0.0);
 }
 
-TEST(LatencyHistogram, MergeAccumulates) {
-    LatencyHistogram a, b;
-    a.record(1.0);
-    b.record(9.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_NEAR(a.mean_ms(), 5.0, 1e-9);
-    EXPECT_NEAR(a.max_ms(), 9.0, 1e-9);
-}
-
-// ---- clone_network ----------------------------------------------------------
-
 // ---- Breaker ----------------------------------------------------------------
 
 using std::chrono::milliseconds;

@@ -42,10 +42,10 @@
 // JSON. --expect-complete there asserts the fleet-wide PR-5 accounting
 // invariant plus, without chaos, that every frame resolved kOk.
 // --kill-after-ms T SIGKILLs worker 0 mid-run; the run still must resolve
-// every future (ok, retried onto a healthy worker, kRejected by admission, or
-// kShutdown) — a hung or abandoned future is a non-zero exit. So is a run
-// whose fleet stats record no worker death: a load that ends before T ms
-// tests nothing, so pace it with --interval-ms to span the kill.
+// every future (ok, retried onto a healthy worker, kRejected when no worker
+// is healthy, or kShutdown) — a hung or abandoned future is a non-zero exit.
+// So is a run whose fleet stats record no worker death: a load that ends
+// before T ms tests nothing, so pace it with --interval-ms to span the kill.
 //
 // Model lifecycle (docs/robustness.md): --reload PATH hot-swaps the service
 // (or, with --cluster, rolls the fleet) onto checkpoint PATH after
@@ -88,7 +88,7 @@ constexpr const char* kUsage =
     "  --streams M           concurrent synthetic camera streams\n"
     "  --frames-per-stream K frames each stream submits\n"
     "  --size S              square input resolution\n"
-    "  --capacity Q          admission queue capacity\n"
+    "  --capacity Q          service queue capacity (per worker process with --cluster)\n"
     "  --policy P            backpressure: block|reject|drop-oldest\n"
     "  --model NAME          model zoo entry\n"
     "  --gemm-threads N      intra-op GEMM threads per forward\n"
