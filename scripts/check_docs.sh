@@ -6,7 +6,9 @@
 #   * a docs/api_overview.md table row names a symbol that none of the
 #     headers in its second column contains, or
 #   * a `| Knob |` table in docs/*.md names a knob that is not a field of
-#     ServiceConfig or RouterConfig.
+#     ServiceConfig or RouterConfig, or
+#   * a `| Key | Counts |` table in docs/*.md names a stats key that neither
+#     ServeStatsSnapshot::to_json nor FleetStats::to_json emits.
 # External links (http/https/mailto) and pure #anchors are not checked.
 # Run from anywhere: scripts/check_docs.sh
 set -euo pipefail
@@ -107,8 +109,28 @@ done < <(awk -F'|' '/^\| Knob \|/ { table = 1; next }
                     table && !/^\|/ { table = 0 }
                     table { print FILENAME "|" $2 }' docs/*.md)
 
+# Every key a `| Key | Counts |` table names must be emitted: each backticked
+# name in the first column must appear as "key": in the body of
+# ServeStatsSnapshot::to_json or FleetStats::to_json, so a deleted stats key
+# cannot linger in a table.
+emitters="$(awk '/^std::string (ServeStatsSnapshot|FleetStats)::to_json\(\) const \{/ { body = 1 }
+                 body; /^\}/ { body = 0 }' \
+              src/serve/serve_stats.cpp src/cluster/router.cpp)"
+while IFS='|' read -r doc key_cell; do
+  keys="$(grep -oE '`[^`]+`' <<< "$key_cell" | tr -d '`')" || true
+  while IFS= read -r key; do
+    [[ -z "$key" ]] && continue
+    if ! grep -qF "\\\"$key\\\":" <<< "$emitters"; then
+      echo "UNKNOWN STATS KEY: $doc names $key, not emitted by ServeStatsSnapshot::to_json or FleetStats::to_json"
+      fail=1
+    fi
+  done <<< "$keys"
+done < <(awk -F'|' '/^\| Key \| Counts \|/ { table = 1; next }
+                    table && !/^\|/ { table = 0 }
+                    table { print FILENAME "|" $2 }' docs/*.md)
+
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: all links resolve, all docs indexed, all API rows and knobs found"
+echo "check_docs: all links resolve, all docs indexed, all API rows, knobs and stats keys found"

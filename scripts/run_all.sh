@@ -109,8 +109,8 @@ ctest --test-dir build-tsan -L cluster-inproc "${sanitized[@]}" --output-on-fail
   | tee tsan_serve_bench_output.txt
 
 # Chaos stage under TSan: deterministic fault injection through the live
-# service (in-place worker restart, retries, breaker, deadlines, degradation,
-# crash-safe checkpointing — tests/test_chaos.cpp), then a fault-injected
+# service (in-place worker restart, retries, breaker, deadlines, crash-safe
+# checkpointing — tests/test_chaos.cpp), then a fault-injected
 # serve_bench run: a worker-killing forward fault plus per-frame deadlines
 # must still resolve every future (no --expect-complete: the killed frame is
 # counted `failed` by design; the run exits non-zero if any future hangs or
@@ -188,13 +188,16 @@ ctest --test-dir build-asan -L reload "${sanitized[@]}" --output-on-failure 2>&1
 ./build/tools/serve_bench --cluster 1 --workers 1 --streams 4 \
   --frames-per-stream 6 --size 96 --filter-scale 0.5 --expect-complete 2>&1 \
   | tee cluster1_bench_output.txt
-# Worker-kill chaos: SIGKILL worker 0 while paced streams are still
-# submitting; every future must still resolve (retried or shed, never hung)
-# with the accounting identity intact, and the fleet stats must record the
-# death — serve_bench exits non-zero otherwise, so a load that finishes
-# before the kill fails the stage instead of passing it vacuously.
+# Worker-kill chaos: SIGKILL worker 0 while a flat-out load keeps both
+# workers busy (the run lasts many times the 60 ms delay), so the kill
+# strands the frames worker 0 holds. Every future must still resolve
+# (retried onto the survivor or shed, never hung) with the accounting
+# identity intact, and the fleet stats must record the death and at least
+# one stranded frame — serve_bench exits non-zero otherwise, so a load that
+# misses the kill, or leaves worker 0 idle when it dies, fails the stage
+# instead of passing it vacuously.
 ./build/tools/serve_bench --cluster 2 --workers 1 --streams 4 \
-  --frames-per-stream 16 --size 96 --filter-scale 0.5 --interval-ms 10 \
+  --frames-per-stream 64 --size 256 --filter-scale 0.5 \
   --kill-after-ms 60 2>&1 | tee cluster_kill_output.txt
 
 # Model-lifecycle chaos smoke: a corrupt (truncated) candidate checkpoint

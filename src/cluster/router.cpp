@@ -706,6 +706,7 @@ RolloutReport Router::rolling_reload(const std::string& weights_path,
     RolloutReport report;
     report.total = workers_.size();
     std::vector<Worker*> committed;
+    std::uint64_t new_version = 0;
     for (auto& wp : workers_) {
         Worker& w = *wp;
         // Take the slot out of dispatch: pick_worker_locked only selects kUp,
@@ -778,10 +779,11 @@ RolloutReport Router::rolling_reload(const std::string& weights_path,
         }
         committed.push_back(&w);
         ++report.reloaded;
-        report.model_version = resp->model_version;
+        new_version = resp->model_version;
     }
     if (report.reloaded == report.total && report.error.empty()) {
         report.ok = true;
+        report.model_version = new_version;
         return report;
     }
     // Abort: restore the previous version on every already-swapped worker so

@@ -133,9 +133,9 @@ struct FleetStats {
 struct RolloutReport {
     bool ok = false;
     std::size_t total = 0;        ///< worker slots in the fleet
-    std::size_t reloaded = 0;     ///< workers serving the new version (success only)
+    std::size_t reloaded = 0;     ///< workers that committed the new version, an abort's too
     std::size_t rolled_back = 0;  ///< workers restored after an abort
-    std::uint64_t model_version = 0;  ///< fleet-wide version after a success
+    std::uint64_t model_version = 0;  ///< fleet-wide new version; 0 unless `ok`
     std::string error;                ///< why the rollout aborted; empty on success
     [[nodiscard]] std::string to_json() const;
 };

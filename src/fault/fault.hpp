@@ -83,16 +83,6 @@ enum class FaultAction {
     kShortRead,  ///< withhold bytes from an I/O site (truncation simulation)
 };
 
-[[nodiscard]] constexpr const char* to_string(FaultAction a) noexcept {
-    switch (a) {
-        case FaultAction::kThrow: return "throw";
-        case FaultAction::kKill: return "kill";
-        case FaultAction::kLatency: return "latency";
-        case FaultAction::kShortRead: return "short-read";
-    }
-    return "?";
-}
-
 /// One armed fault: where, when, and what.
 struct FaultSpec {
     std::string site;

@@ -26,15 +26,6 @@ enum class BackpressurePolicy {
     kDropOldest, ///< push() evicts the oldest queued item to make room
 };
 
-[[nodiscard]] constexpr const char* to_string(BackpressurePolicy p) noexcept {
-    switch (p) {
-        case BackpressurePolicy::kBlock: return "block";
-        case BackpressurePolicy::kReject: return "reject";
-        case BackpressurePolicy::kDropOldest: return "drop-oldest";
-    }
-    return "?";
-}
-
 enum class PushOutcome {
     kEnqueued,       ///< item accepted
     kRejected,       ///< queue full under kReject, item returned to caller

@@ -24,6 +24,11 @@ double ms_since(std::chrono::steady_clock::time_point t) {
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 constexpr auto kNoWindow = std::chrono::steady_clock::time_point::min();
 
+/// Transient-fault retry backoff: the first retry waits kFirstRetryBackoff,
+/// each later one twice the last, up to kMaxRetryBackoff.
+constexpr std::chrono::milliseconds kFirstRetryBackoff{1};
+constexpr std::chrono::milliseconds kMaxRetryBackoff{1000};
+
 /// Thrown by detect_with_retry when a frame's deadline expires mid-retry;
 /// both ends live in this TU.
 struct DeadlineExpired {};
@@ -55,25 +60,11 @@ DetectionService::DetectionService(const Network& prototype, ServiceConfig confi
         throw std::invalid_argument("DetectionService: batch_timeout_us must be >= 0");
     }
     if (config_.deadline_ms < 0 || config_.max_retries < 0 ||
-        config_.retry_backoff_ms < 0 || config_.breaker_threshold < 0) {
+        config_.breaker_threshold < 0) {
         throw std::invalid_argument("DetectionService: negative self-healing knob");
     }
     if (config_.breaker_threshold > 0 && config_.breaker_open_ms <= 0) {
         throw std::invalid_argument("DetectionService: breaker_open_ms must be positive");
-    }
-    if (config_.degrade_high_watermark > 0) {
-        if (config_.degraded_size <= 0) {
-            throw std::invalid_argument(
-                "DetectionService: degradation needs degraded_size > 0");
-        }
-        if (config_.degrade_low_watermark > config_.degrade_high_watermark) {
-            throw std::invalid_argument(
-                "DetectionService: degrade_low_watermark > high watermark");
-        }
-        if (prototype.config().width != prototype.config().height) {
-            throw std::invalid_argument(
-                "DetectionService: degradation requires a square input network");
-        }
     }
     if (prototype.region() == nullptr) {
         throw std::invalid_argument("DetectionService: network has no region layer");
@@ -86,7 +77,6 @@ DetectionService::DetectionService(const Network& prototype, ServiceConfig confi
         config_.reload_rollback_failures <= 0) {
         throw std::invalid_argument("DetectionService: bad model-lifecycle knob");
     }
-    full_size_ = prototype.config().width;
     {
         auto set = build_model_set(clone_network(prototype));
         set->version = 1;
@@ -105,10 +95,9 @@ DetectionService::~DetectionService() { stop(); }
 // Mirrors construction for every generation: per-worker clones pre-reserved
 // at the largest batch, input tensor included (tensor storage is grow-only,
 // so later per-batch set_batch() calls in detect_images are allocation-free),
-// the degraded geometry warmed when degradation is configured, and each
-// replica set to the configured precision — under int8 with one calibration
-// computed on replica 0 and shared (clones carry identical weights, so every
-// replica quantizes identically).
+// and each replica set to the configured precision — under int8 with one
+// calibration computed on replica 0 and shared (clones carry identical
+// weights, so every replica quantizes identically).
 std::shared_ptr<DetectionService::ModelSet>
 DetectionService::build_model_set(Network candidate) {
     auto set = std::make_shared<ModelSet>();
@@ -118,10 +107,6 @@ DetectionService::build_model_set(Network candidate) {
         auto replica = std::make_unique<Network>(clone_network(candidate));
         replica->set_batch(config_.max_batch);
         (void)replica->input_buffer();  // the detect path's input, at max_batch too
-        if (config_.degrade_high_watermark > 0) {
-            replica->resize_input(config_.degraded_size, config_.degraded_size);
-            replica->resize_input(full_size_, full_size_);
-        }
         if (config_.precision == Precision::kInt8 && i == 0) {
             calibration = self_calibrate(*replica);
             // profile_reports() covers served forwards, not calibration ones.
@@ -145,11 +130,6 @@ DetectionService::current_set() const {
 std::uint64_t DetectionService::model_version() const {
     sync::MutexLock lock(mu_);
     return live_set_->version;
-}
-
-bool DetectionService::degraded() const {
-    sync::MutexLock lock(mu_);
-    return degraded_;
 }
 
 std::future<ServeResult> DetectionService::submit(Image frame) {
@@ -205,15 +185,6 @@ std::future<ServeResult> DetectionService::submit(Image frame) {
             finish(job, empty_result(ServeStatus::kRejected));
             break;
     }
-    if (config_.degrade_high_watermark > 0 &&
-        (outcome == PushOutcome::kEnqueued || outcome == PushOutcome::kEvictedOldest) &&
-        queue_.size() >= config_.degrade_high_watermark) {
-        sync::MutexLock lock(mu_);
-        if (!degraded_) {
-            degraded_ = true;
-            ++stats_.counters.degrade_transitions;
-        }
-    }
     return future;
 }
 
@@ -259,25 +230,6 @@ void DetectionService::expire_overdue(std::vector<Job>& jobs) {
     jobs.swap(kept);
 }
 
-bool DetectionService::apply_degrade_mode(Network& net) {
-    if (config_.degrade_high_watermark == 0) return false;
-    const bool backlog_cleared = queue_.size() <= config_.degrade_low_watermark;
-    bool degraded_now = false;
-    {
-        sync::MutexLock lock(mu_);
-        if (degraded_ && backlog_cleared) {
-            degraded_ = false;
-            ++stats_.counters.degrade_transitions;
-        }
-        degraded_now = degraded_;
-    }
-    const int desired = degraded_now ? config_.degraded_size : full_size_;
-    if (net.config().width != desired) {
-        net.resize_input(desired, desired);  // allocation-free: pre-reserved
-    }
-    return degraded_now;
-}
-
 // Serves batches until the queue is closed and drained. A fault that escapes
 // a batch (e.g. an injected worker kill) is one failure for the breaker and
 // probation; the frames the worker still holds fail, so no future is
@@ -300,8 +252,7 @@ void DetectionService::worker_loop(std::size_t worker_id) {
                 // under an in-flight forward, and the old generation is freed
                 // once the last worker moves on.
                 const std::shared_ptr<const ModelSet> set = current_set();
-                Network& net = *set->replicas[worker_id];
-                process_batch(net, jobs, apply_degrade_mode(net));
+                process_batch(*set->replicas[worker_id], jobs);
             }
         } catch (const std::exception& e) {
             what = e.what();
@@ -325,7 +276,7 @@ void DetectionService::worker_loop(std::size_t worker_id) {
 Detections DetectionService::detect_with_retry(Network& net, const Image& frame,
                                                const Job& job,
                                                DetectStageTimings* timings) {
-    std::int64_t backoff = std::max<std::int64_t>(config_.retry_backoff_ms, 0);
+    std::chrono::milliseconds backoff = kFirstRetryBackoff;
     for (int attempt = 0;; ++attempt) {
         if (job.deadline != kNoDeadline &&
             std::chrono::steady_clock::now() > job.deadline) {
@@ -343,10 +294,8 @@ Detections DetectionService::detect_with_retry(Network& net, const Image& frame,
                 sync::MutexLock lock(mu_);
                 ++stats_.counters.retries;
             }
-            if (backoff > 0) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-            }
-            backoff = std::min<std::int64_t>(backoff > 0 ? backoff * 2 : 1, 1000);
+            std::this_thread::sleep_for(backoff);
+            backoff = std::min(backoff * 2, kMaxRetryBackoff);
         }
     }
 }
@@ -358,8 +307,7 @@ Detections DetectionService::detect_with_retry(Network& net, const Image& frame,
 // frame of a failed batch, or the only frame of a batch of one) runs alone
 // through detect_with_retry, so one bad or unlucky frame never fails its
 // batch-mates and every frame gets the same retry budget.
-void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
-                                     bool degraded) {
+void DetectionService::process_batch(Network& net, std::vector<Job>& jobs) {
     const std::size_t n = jobs.size();
     const auto popped = std::chrono::steady_clock::now();
     std::vector<Image> frames;
@@ -407,7 +355,7 @@ void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
                          .forward_ms = t.forward_ms,
                          .postprocess_ms = t.postprocess_ms};
             r.frame.latency_ms = r.timings.total_ms();
-            note_frame_success(degraded);
+            note_frame_success();
         } catch (const DeadlineExpired&) {
             r = empty_result(ServeStatus::kTimeout, "deadline expired during retry");
         } catch (const fault::WorkerKillFault&) {
@@ -440,11 +388,10 @@ void DetectionService::note_frame_failure() {
     }
 }
 
-void DetectionService::note_frame_success(bool degraded) {
-    if (config_.breaker_threshold <= 0 && !degraded) return;
+void DetectionService::note_frame_success() {
+    if (config_.breaker_threshold <= 0) return;
     sync::MutexLock lock(mu_);
     breaker_.succeed();
-    if (degraded) ++stats_.counters.degraded_frames;
 }
 
 std::shared_ptr<DetectionService::ModelSet> DetectionService::restore_previous() {

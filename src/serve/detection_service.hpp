@@ -13,10 +13,9 @@
 // resolve late frames with kTimeout instead of occupying a worker, transient
 // forward faults are retried with exponential backoff, a worker hit by an
 // unrecoverable fault fails the frames it holds and restarts its loop on the
-// same replica, a circuit breaker sheds load after consecutive failures, and
-// under queue-depth overload workers degrade to a smaller pre-reserved input
-// size, recovering when the backlog clears. Every submitted future always
-// resolves — success, drop, rejection, timeout, or failure.
+// same replica, and a circuit breaker sheds load after consecutive failures.
+// Every submitted future always resolves — success, drop, rejection,
+// timeout, or failure.
 //
 //   DetectionService service(net, {.workers = 4});
 //   auto f = service.submit(frame);          // non-blocking (policy-dependent)
@@ -97,26 +96,15 @@ struct ServiceConfig {
     /// a worker. 0 disables deadlines.
     std::int64_t deadline_ms = 0;
     /// Retries per frame when the forward pass throws a transient error
-    /// (std::runtime_error family). Input errors (std::invalid_argument) are
+    /// (std::runtime_error family), after a backoff of 1 ms that doubles per
+    /// attempt (capped at 1 s). Input errors (std::invalid_argument) are
     /// never retried. 0 disables retries.
     int max_retries = 0;
-    /// Initial retry backoff; doubles per attempt (capped at 1 s).
-    std::int64_t retry_backoff_ms = 1;
     /// Consecutive frame failures that open the circuit breaker; while open,
     /// submits are shed immediately as kRejected. 0 disables the breaker.
     int breaker_threshold = 0;
     /// How long the breaker stays open before the next submit half-opens it.
     std::int64_t breaker_open_ms = 100;
-    /// Queue depth at which workers switch their replica to `degraded_size`
-    /// (graceful degradation under overload). 0 disables degradation.
-    std::size_t degrade_high_watermark = 0;
-    /// Queue depth at or below which workers switch back to full resolution.
-    std::size_t degrade_low_watermark = 0;
-    /// Fallback square input size used while degraded (e.g. 256 for a 512
-    /// network). Storage is pre-reserved at construction so the switch is
-    /// allocation-free (grow-only tensors). Required when
-    /// degrade_high_watermark > 0.
-    int degraded_size = 0;
     /// Arithmetic every replica serves in (Network::set_precision). The
     /// prototype itself must stay kF32: it is the reload source and the
     /// canary baseline, and int8 folds batch norm for good. Under kInt8 one
@@ -196,8 +184,6 @@ class DetectionService {
     [[nodiscard]] ServeStatsSnapshot stats() const;
     [[nodiscard]] int workers() const noexcept { return config_.workers; }
     [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
-    /// True while workers are serving at the degraded input size.
-    [[nodiscard]] bool degraded() const;
 
     /// Hot-swaps the serving model to the checkpoint at `weights`, without
     /// dropping a single in-flight future. Runs entirely on the calling
@@ -253,7 +239,7 @@ class DetectionService {
     };
 
     void worker_loop(std::size_t worker_id);
-    void process_batch(Network& net, std::vector<Job>& jobs, bool degraded);
+    void process_batch(Network& net, std::vector<Job>& jobs);
     Detections detect_with_retry(Network& net, const Image& frame, const Job& job,
                                  DetectStageTimings* timings);
     /// The one exit of a frame (see the definition); every outcome counter
@@ -261,18 +247,15 @@ class DetectionService {
     void finish(Job& job, ServeResult r, std::exception_ptr bad_input = nullptr)
         EXCLUDES(mu_);
     void expire_overdue(std::vector<Job>& jobs);
-    /// Flips the degraded mode off once the backlog clears and sizes `net`
-    /// for the current mode; returns whether that mode is degraded.
-    [[nodiscard]] bool apply_degrade_mode(Network& net) EXCLUDES(mu_);
     /// Feeds one frame failure to the breaker and to an open probation
     /// window, which rolls back once its budget is spent or the breaker
     /// opens.
     void note_frame_failure() EXCLUDES(mu_);
-    void note_frame_success(bool degraded) EXCLUDES(mu_);
+    void note_frame_success() EXCLUDES(mu_);
 
-    /// Builds one complete model generation (replicas at `precision` +
-    /// degrade warm-up, mirroring construction) from the fp32 `candidate`,
-    /// which is consumed and becomes the set's reference network.
+    /// Builds one complete model generation (replicas at `precision`,
+    /// mirroring construction) from the fp32 `candidate`, which is consumed
+    /// and becomes the set's reference network.
     [[nodiscard]] std::shared_ptr<ModelSet> build_model_set(Network candidate);
     [[nodiscard]] std::shared_ptr<const ModelSet> current_set() const EXCLUDES(mu_);
     /// Canary gate: deterministic synthetic forwards of `candidate` vs the
@@ -287,7 +270,6 @@ class DetectionService {
     ServiceConfig config_;
     AltitudeFilter altitude_filter_;
     BoundedQueue<Job> queue_;
-    int full_size_ = 0;  ///< prototype input size (degradation restores this)
     std::chrono::steady_clock::time_point started_at_;  ///< uptime_ms gauge
 
     // The books, shared by callers and workers under one mutex. mu_ is never
@@ -299,7 +281,6 @@ class DetectionService {
     ServeStats stats_ GUARDED_BY(mu_);
     Breaker breaker_ GUARDED_BY(mu_);
     bool stopped_ GUARDED_BY(mu_) = false;
-    bool degraded_ GUARDED_BY(mu_) = false;
     /// Workers pin the live set per batch; a swap or rollback replaces it.
     std::shared_ptr<ModelSet> live_set_ GUARDED_BY(mu_);
     /// Previous generation, retained until the next committed swap so

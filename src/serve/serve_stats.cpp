@@ -132,8 +132,6 @@ std::string ServeStatsSnapshot::to_json() const {
        << ",\"failed\":" << failed << ",\"retries\":" << retries
        << ",\"deadline_expired\":" << deadline_expired
        << ",\"worker_restarts\":" << worker_restarts
-       << ",\"degraded_frames\":" << degraded_frames
-       << ",\"degrade_transitions\":" << degrade_transitions
        << ",\"breaker_opens\":" << breaker_opens
        << ",\"breaker_open_ms\":" << breaker_open_ms
        << ",\"model_version\":" << model_version

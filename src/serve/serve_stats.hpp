@@ -74,10 +74,8 @@ struct ServeStatsSnapshot {
     std::uint64_t retries = 0;           ///< transient-fault retry attempts
     std::uint64_t deadline_expired = 0;  ///< frames resolved kTimeout past their deadline
     std::uint64_t worker_restarts = 0;   ///< worker loops restarted after an escaped fault
-    std::uint64_t degraded_frames = 0;   ///< frames served at the fallback input size
-    std::uint64_t degrade_transitions = 0;  ///< full<->degraded mode flips
-    std::uint64_t breaker_opens = 0;        ///< circuit-breaker open transitions
-    double breaker_open_ms = 0;             ///< cumulative time the breaker was open
+    std::uint64_t breaker_opens = 0;     ///< circuit-breaker open transitions
+    double breaker_open_ms = 0;          ///< cumulative time the breaker was open
     // Model lifecycle (docs/robustness.md, "Model lifecycle"). model_version
     // is a gauge: 1 for the construction-time model, +1 per committed swap
     // (a rollback restores the previous version number).

@@ -1470,6 +1470,7 @@ TEST(Router, RollingReloadAbortsAndRollsBackCommittedWorkers) {
     EXPECT_EQ(report.total, 2u);
     EXPECT_EQ(report.reloaded, 1u);     // slot 0 swapped before the abort...
     EXPECT_EQ(report.rolled_back, 1u);  // ...and was restored by it
+    EXPECT_EQ(report.model_version, 0u);  // no fleet-wide new version
     EXPECT_NE(report.error.find("canary rejected"), std::string::npos)
         << report.error;
     EXPECT_EQ(fake_a.rollback_requests(), 1);

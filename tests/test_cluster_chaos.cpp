@@ -182,6 +182,7 @@ TEST(ClusterChaos, WorkerKillMidRolloutAbortsAndRollsBackFleet) {
     EXPECT_EQ(report.total, 2u);
     EXPECT_EQ(report.reloaded, 1u);
     EXPECT_EQ(report.rolled_back, 1u);
+    EXPECT_EQ(report.model_version, 0u);
 
     // The surviving worker serves the OLD model version (rolled back), and
     // submits still resolve on the degraded fleet — zero stranded futures.

@@ -289,9 +289,9 @@ TEST(Int8Precision, BatchedForwardBitEqualsBatchOnePerItem) {
     EXPECT_NO_THROW((void)net.forward(singles[0]));
 }
 
-TEST(Int8Precision, FollowsDegradedResize) {
-    // The serving degrade path shrinks the live input; the int8 conv follows
-    // the layer's geometry. fan_in is resize-invariant, so no re-quantization
+TEST(Int8Precision, FollowsResizeInput) {
+    // Network::resize_input shrinks the live input; the int8 conv follows the
+    // layer's geometry. fan_in is resize-invariant, so no re-quantization
     // happens on the way.
     Network net = int8_dronet64();
     const std::byte* workspace = net.workspace();
@@ -312,8 +312,8 @@ TEST(Int8Precision, FollowsDegradedResize) {
 TEST(Int8Precision, ForwardIsAllocationFree) {
     // The workspace is sized, grow-only, when the precision or geometry
     // changes: forwards at the set-up geometry, any batch size, and smaller
-    // degraded inputs must never move it. Growing the input is the one
-    // legitimate grow.
+    // inputs must never move it. Growing the input is the one legitimate
+    // grow.
     Network net = int8_dronet64();
     const std::byte* workspace = net.workspace();
 
@@ -817,7 +817,6 @@ TEST(Int8Service, ForwardFaultIsRetriedToSuccess) {
     serve::ServiceConfig sc;
     sc.workers = 1;
     sc.max_retries = 1;
-    sc.retry_backoff_ms = 1;
     sc.precision = Precision::kInt8;
     DetectionService service(net, sc);
     const DetectionDataset frames =
@@ -834,33 +833,6 @@ TEST(Int8Service, ForwardFaultIsRetriedToSuccess) {
     EXPECT_EQ(snap.completed, frames.size());
     EXPECT_EQ(snap.failed, 0u);
     EXPECT_EQ(snap.retries, 1u);
-}
-
-TEST(Int8Service, Int8ServesThroughDegradeCycle) {
-    // int8 + graceful degradation: the workspace was sized at the full
-    // geometry, so serving at the degraded size (and recovering) must work
-    // and resolve every frame.
-    Network net = build_model(ModelId::kDroNet, {.input_size = 128, .filter_scale = 0.25f});
-    serve::ServiceConfig sc;
-    sc.workers = 1;
-    sc.queue_capacity = 32;
-    sc.max_batch = 2;
-    sc.precision = Precision::kInt8;
-    sc.degrade_high_watermark = 4;
-    sc.degrade_low_watermark = 1;
-    sc.degraded_size = 64;
-    DetectionService service(net, sc);
-
-    const DetectionDataset frames =
-        generate_dataset(benchmark_scene_config(128), 4, /*seed=*/31);
-    std::vector<std::future<ServeResult>> futures;
-    for (int i = 0; i < 24; ++i) {
-        futures.push_back(service.submit(frames.image(static_cast<std::size_t>(i) % 4)));
-    }
-    service.drain();
-    for (auto& f : futures) {
-        EXPECT_EQ(f.get().status, ServeStatus::kOk);
-    }
 }
 
 // ---- accuracy gate ----------------------------------------------------------
