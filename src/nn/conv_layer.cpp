@@ -1,5 +1,6 @@
 #include "nn/conv_layer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +12,21 @@
 #include "tensor/ops.hpp"
 
 namespace dronet {
+namespace {
+
+/// Columns of one block of the fp32 forward's col matrix: the widest
+/// multiple of 16 whose k rows fit kColBlockBytes, or all n columns when the
+/// whole matrix does.
+constexpr std::size_t kColBlockBytes = 256 * 1024;
+
+int col_block_cols(int k, int n) {
+    const std::size_t column_bytes = sizeof(float) * static_cast<std::size_t>(std::max(1, k));
+    const std::size_t fit = kColBlockBytes / column_bytes;
+    if (fit >= static_cast<std::size_t>(n)) return n;
+    return std::max<int>(16, static_cast<int>(fit / 16 * 16));
+}
+
+}  // namespace
 
 ConvolutionalLayer::ConvolutionalLayer(const ConvConfig& config, const Shape& input,
                                        Rng& rng)
@@ -133,17 +149,28 @@ void ConvolutionalLayer::forward(const Tensor& input, Network& net, bool train) 
     }
     const int out_hw = static_cast<int>(output_shape_.hw());
     const int col_rows = geo_.col_rows();
+    const int block = col_block_cols(col_rows, out_hw);
+    auto* ws = reinterpret_cast<float*>(net.workspace());
     for (int b = 0; b < input.shape().n; ++b) {
         const float* in_b = input.data() + static_cast<std::int64_t>(b) * input.shape().chw();
         float* out_b = output_.data() + static_cast<std::int64_t>(b) * output_shape_.chw();
-        const float* col = in_b;
-        if (!is_1x1()) {
-            auto* ws = reinterpret_cast<float*>(net.workspace());
-            im2col_mt(in_b, geo_, ws, gemm_threads());
-            col = ws;
+        if (is_1x1()) {
+            // The input plane is already the col matrix.
+            gemm(false, false, config_.filters, out_hw, col_rows, 1.0f,
+                 weights_.v.data(), col_rows, in_b, out_hw, 0.0f, out_b, out_hw);
+            continue;
         }
-        gemm(false, false, config_.filters, out_hw, col_rows, 1.0f, weights_.v.data(),
-             col_rows, col, out_hw, 0.0f, out_b, out_hw);
+        // Lower and multiply one column block at a time, while it is still
+        // in cache. Blocks start at multiples of 16, so every column lands in
+        // the same 16-column GEMM tile as in one whole-matrix call, and only
+        // the last block carries the n % 16 tail: the output bits are those
+        // of lowering the whole matrix.
+        for (int j0 = 0; j0 < out_hw; j0 += block) {
+            const int nb = std::min(block, out_hw - j0);
+            im2col_mt(in_b, geo_, j0, j0 + nb, ws, gemm_threads());
+            gemm(false, false, config_.filters, nb, col_rows, 1.0f, weights_.v.data(),
+                 col_rows, ws, nb, 0.0f, out_b + j0, out_hw);
+        }
     }
     if (config_.batch_normalize) batchnorm_forward(train);
     add_channel_bias(output_.span(), biases_.v, output_shape_.n, output_shape_.c,
@@ -171,7 +198,7 @@ void ConvolutionalLayer::forward_int8(const Tensor& input, Network& net) {
         quantize_buffer(input.data() + b * in_chw, in_chw, int8_.input_scale, in_q);
         const std::int8_t* col = in_q;
         if (!is_1x1()) {
-            im2col_mt(in_q, geo_, col_q, gemm_threads());
+            im2col_mt(in_q, geo_, 0, out_hw, col_q, gemm_threads());
             col = col_q;
         }
         gemm_i8(config_.filters, out_hw, col_rows, int8_.weights.data(), col_rows, col,
@@ -237,7 +264,7 @@ void ConvolutionalLayer::backward(const Tensor& input, Tensor* input_delta, Netw
         // dW += delta_b * col^T
         const float* col = in_b;
         if (!is_1x1()) {
-            im2col_mt(in_b, geo_, ws, gemm_threads());
+            im2col_mt(in_b, geo_, 0, out_hw, ws, gemm_threads());
             col = ws;
         }
         gemm(false, true, config_.filters, col_rows, out_hw, 1.0f, delta_b, out_hw, col,

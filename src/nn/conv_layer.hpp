@@ -1,8 +1,13 @@
 // 2-D convolution layer with optional batch normalization.
 //
 // Forward lowers to im2col + GEMM, darknet's CPU execution strategy and the
-// dominant cost in every model the paper benchmarks. Training support
-// (backward + gradients) implements the full batch-norm backward pass.
+// dominant cost in every model the paper benchmarks. The fp32 forward lowers
+// and multiplies one cache-sized column block (256 KiB of col matrix) at a
+// time, so the GEMM reads each block while it is still in cache; an unpadded
+// stride-1 1x1 conv multiplies its input directly. Blocks start at multiples
+// of 16 columns, so the output bits are those of one whole-matrix lowering.
+// Training support (backward + gradients) implements the full batch-norm
+// backward pass.
 //
 // Inference runs in one of two weight formats (Precision): fp32, or
 // calibrated int8 with int32 accumulation and a fused per-filter requantize

@@ -82,13 +82,19 @@ std::vector<LayerCost> cost_breakdown(const Network& net, const PlatformSpec& pl
 
 PlatformSpec calibrate_host_platform() {
     // Time a conv-shaped GEMM (DroNet stage 3 at 416 input) with the
-    // production kernel.
-    constexpr int m = 64, k = 32 * 9, n = 52 * 52;
+    // production kernel, the way the fp32 conv forward runs it: one
+    // cache-sized column block of the col matrix at a time (nb columns of
+    // k floats fit its 256 KiB block), each multiplied while in cache.
+    constexpr int m = 64, k = 32 * 9, n = 52 * 52, nb = 224;
     std::vector<float> a(static_cast<std::size_t>(m) * k, 0.5f);
-    std::vector<float> b(static_cast<std::size_t>(k) * n, 0.25f);
+    std::vector<float> b(static_cast<std::size_t>(k) * nb, 0.25f);
     std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
     const auto run = [&] {
-        gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c.data(), n);
+        for (int j0 = 0; j0 < n; j0 += nb) {
+            const int w = std::min(nb, n - j0);
+            gemm(false, false, m, w, k, 1.0f, a.data(), k, b.data(), w, 0.0f, c.data() + j0,
+                 n);
+        }
     };
     run();  // warm-up
     const auto begin = std::chrono::steady_clock::now();

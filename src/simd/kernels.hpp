@@ -14,7 +14,9 @@
 //   * gemm_micro_rx16 is null on the scalar table (the caller keeps its
 //     reference loop); the AVX2 entry uses FMA and is tolerance-gated. Every
 //     row count runs the same per-row instruction sequence, so a row's
-//     result does not depend on how many rows share its tile.
+//     result does not depend on how many rows share its tile. With beta == 0
+//     it writes alpha*acc and never reads C, so whatever C held before (NaN
+//     and Inf included) cannot leak into the result.
 //   * max_window_row applies v > best ? v : best over the taps in scan order
 //     at both levels (MAXPS is exactly that select, NaN and signed zeros
 //     included) — bitwise identical across levels (memcmp-gated in
@@ -32,6 +34,11 @@
 
 namespace dronet::simd {
 
+/// Most rows of C one gemm_micro_rx16 call computes, and the row stride of
+/// its packed A panel. Six rows keep 12 accumulators, two B vectors and one
+/// broadcast A value within the 16 ymm registers.
+inline constexpr int kGemmTileRows = 6;
+
 struct KernelTable {
     void (*copy_row)(float* dst, const float* src, std::size_t n);
     void (*add_bias_row)(float* p, std::size_t n, float bias);
@@ -42,10 +49,11 @@ struct KernelTable {
     /// dst[i] = a[i]*(1-w) + b[i]*w — the bilinear vertical pass.
     void (*lerp_rows)(const float* a, const float* b, float w, float* dst,
                       std::size_t n);
-    /// C tile of `rows` (1-4) rows by 16 columns:
-    /// c[r][j] = alpha*sum_k(ap[k*4+r]*b[k*b_stride+j]) + beta*c[r][j] for
-    /// r < rows; rows beyond `rows` are neither read nor written. A is packed
-    /// with a row stride of 4 whatever `rows` is. Null on the scalar table
+    /// C tile of `rows` (1-kGemmTileRows) rows by 16 columns:
+    /// c[r][j] = alpha*sum_k(ap[k*6+r]*b[k*b_stride+j]) + beta*c[r][j] for
+    /// r < rows, or alpha*sum without reading c when beta == 0; rows beyond
+    /// `rows` are neither read nor written. A is packed with a row stride of
+    /// kGemmTileRows (6) whatever `rows` is. Null on the scalar table
     /// (caller's reference loop runs).
     void (*gemm_micro_rx16)(const float* ap, const float* b,
                             std::int64_t b_stride, int k, float alpha,

@@ -13,11 +13,15 @@
 namespace dronet::simd {
 namespace {
 
-/// R x 16 C tile (R = 1..4) with FMA accumulators: 2R ymm accumulators
-/// (R rows x 2 halves), one B-row load pair amortized over R broadcast A
-/// values — the vector mirror of tensor/gemm.cpp's micro_full_direct/_packed.
-/// Every row runs the same FMA chain and epilogue whatever R is, so a row's
-/// result does not depend on how many rows its tile holds.
+/// R x 16 C tile (R = 1..6) with FMA accumulators: 2R ymm accumulators
+/// (R rows x 2 halves), one B-row load pair amortized over R rows — the
+/// vector mirror of tensor/gemm.cpp's micro_tile. Each step broadcasts one A
+/// value and runs that row's two FMAs before the next broadcast, so only
+/// one A register is live: at R = 6 the loop needs 12 accumulators, two B
+/// vectors and one A vector, within the 16 ymm registers, where holding all
+/// R broadcasts at once would spill. Every row runs the same FMA chain and
+/// epilogue whatever R is, so a row's result does not depend on how many
+/// rows its tile holds.
 ///
 /// Each instantiation is aligned to 64 bytes and kept out of line: the speed
 /// of the k loop depends on where it falls in the 64-byte instruction fetch
@@ -31,34 +35,43 @@ __attribute__((noinline, aligned(64)))
 void gemm_tile_fma(const float* ap, const float* b, std::int64_t b_stride, int k,
                    float alpha, float beta, float* c, std::int64_t ldc) {
     __m256 acc[R][2];
-#pragma GCC unroll 4
+#pragma GCC unroll 6
     for (int r = 0; r < R; ++r) acc[r][0] = acc[r][1] = _mm256_setzero_ps();
     for (int kk = 0; kk < k; ++kk) {
         const float* brow = b + static_cast<std::int64_t>(kk) * b_stride;
         const __m256 b0 = _mm256_loadu_ps(brow);
         const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        __m256 a[R];
-#pragma GCC unroll 4
-        for (int r = 0; r < R; ++r) a[r] = _mm256_broadcast_ss(ap + r);
-        ap += 4;
-#pragma GCC unroll 4
+#pragma GCC unroll 6
         for (int r = 0; r < R; ++r) {
-            acc[r][0] = _mm256_fmadd_ps(a[r], b0, acc[r][0]);
-            acc[r][1] = _mm256_fmadd_ps(a[r], b1, acc[r][1]);
+            const __m256 a = _mm256_broadcast_ss(ap + r);
+            acc[r][0] = _mm256_fmadd_ps(a, b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(a, b1, acc[r][1]);
         }
+        ap += kGemmTileRows;
     }
     const __m256 va = _mm256_set1_ps(alpha);
-    const __m256 vb = _mm256_set1_ps(beta);
     // Unrolled like the loops above: a variable index into acc would keep
-    // it in memory, and the k loop would store every accumulator.
-#pragma GCC unroll 4
+    // it in memory, and the k loop would store every accumulator. The same
+    // expressions as the scalar write_tile: alpha*acc when beta == 0, with C
+    // never read, else alpha*acc + beta*c.
+    if (beta == 0.0f) {
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r) {
+            float* crow = c + static_cast<std::int64_t>(r) * ldc;
+#pragma GCC unroll 2
+            for (int h = 0; h < 2; ++h) {
+                _mm256_storeu_ps(crow + 8 * h, _mm256_mul_ps(va, acc[r][h]));
+            }
+        }
+        return;
+    }
+    const __m256 vb = _mm256_set1_ps(beta);
+#pragma GCC unroll 6
     for (int r = 0; r < R; ++r) {
         float* crow = c + static_cast<std::int64_t>(r) * ldc;
 #pragma GCC unroll 2
         for (int h = 0; h < 2; ++h) {
             float* cp = crow + 8 * h;
-            // alpha*acc + beta*c, beta multiplying whatever C holds — the
-            // same expression the scalar write_tile evaluates.
             const __m256 cv = _mm256_loadu_ps(cp);
             _mm256_storeu_ps(
                 cp, _mm256_add_ps(_mm256_mul_ps(va, acc[r][h]),
@@ -71,6 +84,8 @@ void gemm_micro_rx16_fma(const float* ap, const float* b, std::int64_t b_stride,
                          int k, float alpha, float beta, float* c,
                          std::int64_t ldc, int rows) {
     switch (rows) {
+        case 6: return gemm_tile_fma<6>(ap, b, b_stride, k, alpha, beta, c, ldc);
+        case 5: return gemm_tile_fma<5>(ap, b, b_stride, k, alpha, beta, c, ldc);
         case 4: return gemm_tile_fma<4>(ap, b, b_stride, k, alpha, beta, c, ldc);
         case 3: return gemm_tile_fma<3>(ap, b, b_stride, k, alpha, beta, c, ldc);
         case 2: return gemm_tile_fma<2>(ap, b, b_stride, k, alpha, beta, c, ldc);

@@ -13,10 +13,11 @@ namespace {
 
 std::atomic<int> g_gemm_threads{1};
 
-// Micro-kernel tile: kMr rows of C by kNr columns, accumulators held in
-// registers. 4x16 keeps the accumulator block within the SSE register budget
-// after unrolling while amortizing each B-row load over four C rows.
-constexpr int kMr = 4;
+// Micro-kernel tile: up to kMr rows of C by kNr columns, accumulators held
+// in registers. Six rows fit the AVX2 tile's register budget
+// (simd::kGemmTileRows) and let a 5- or 6-filter conv pass over each B panel
+// once.
+constexpr int kMr = simd::kGemmTileRows;
 constexpr int kNr = 16;
 
 // Problems below this many multiply-accumulates run serially: a trip through
@@ -95,79 +96,81 @@ void pack_b(const GemmArgs& g, int j0, int nr, float* dst) {
 // ---- micro-kernels ---------------------------------------------------------
 // Every kernel accumulates each C element over the full k range in ascending
 // order into a fresh float accumulator and finishes with
-//   c = alpha * acc + beta * c
+//   c = alpha * acc + beta * c,  or  c = alpha * acc  when beta == 0
 // which is the exact operation sequence of gemm_naive — hence bit-exact
-// results, independent of tiling and thread count.
+// results, independent of tiling and thread count. beta == 0 never reads C
+// (the BLAS convention): 0 * NaN is NaN, so reading it would let whatever C
+// held before leak into the result.
 
 void write_tile(const GemmArgs& g, const float acc[kMr][kNr], int i0, int j0,
                 int mr, int nr) {
     for (int ii = 0; ii < mr; ++ii) {
         float* crow = g.c + static_cast<std::int64_t>(i0 + ii) * g.ldc + j0;
-        for (int jj = 0; jj < nr; ++jj) {
-            crow[jj] = g.alpha * acc[ii][jj] + g.beta * crow[jj];
+        if (g.beta == 0.0f) {
+            for (int jj = 0; jj < nr; ++jj) crow[jj] = g.alpha * acc[ii][jj];
+        } else {
+            for (int jj = 0; jj < nr; ++jj) {
+                crow[jj] = g.alpha * acc[ii][jj] + g.beta * crow[jj];
+            }
         }
     }
 }
 
-/// Full 4x16 tile. Row kk of the B panel starts at b + kk * b_stride: B in
-/// place (stride ldb, !trans_b) or a packed panel (stride kNr, trans_b).
-void micro_full(const GemmArgs& g, const float* ap, const float* b,
-                std::int64_t b_stride, int i0, int j0) {
-    float acc[kMr][kNr] = {};
-    for (int kk = 0; kk < g.k; ++kk) {
-        const float* brow = b + kk * b_stride;
-        const float a0 = ap[0];
-        const float a1 = ap[1];
-        const float a2 = ap[2];
-        const float a3 = ap[3];
-        ap += kMr;
-        for (int jj = 0; jj < kNr; ++jj) {
-            const float bv = brow[jj];
-            acc[0][jj] += a0 * bv;
-            acc[1][jj] += a1 * bv;
-            acc[2][jj] += a2 * bv;
-            acc[3][jj] += a3 * bv;
-        }
-    }
-    write_tile(g, acc, i0, j0, kMr, kNr);
-}
-
-/// Edge tile (mr < kMr and/or nr < kNr) on the scalar level, and the n % kNr
-/// column tail on every level. B as for micro_full.
-void micro_edge(const GemmArgs& g, const float* ap, const float* b,
+/// Tile of mr rows by nr columns in the reference loop order: every tile on
+/// the scalar level, and the n % kNr column tail on every level. Full tiles
+/// instantiate NR = kNr, a fixed-width inner loop the compiler vectorizes
+/// (separate multiplies and adds, so the same roundings); NR = 0 runs nr
+/// columns. Row kk of the B panel starts at b + kk * b_stride: B in place
+/// (stride ldb, !trans_b) or a packed panel (stride kNr, trans_b).
+template <int NR>
+void micro_tile(const GemmArgs& g, const float* ap, const float* b,
                 std::int64_t b_stride, int i0, int j0, int mr, int nr) {
+    const int width = NR > 0 ? NR : nr;
     float acc[kMr][kNr] = {};
     for (int kk = 0; kk < g.k; ++kk) {
         const float* brow = b + kk * b_stride;
         const float* av = ap + static_cast<std::int64_t>(kk) * kMr;
         for (int ii = 0; ii < mr; ++ii) {
             const float a = av[ii];
-            for (int jj = 0; jj < nr; ++jj) acc[ii][jj] += a * brow[jj];
+#pragma GCC unroll 16
+            for (int jj = 0; jj < width; ++jj) acc[ii][jj] += a * brow[jj];
         }
     }
-    write_tile(g, acc, i0, j0, mr, nr);
+    write_tile(g, acc, i0, j0, mr, width);
+}
+
+/// Height of row tile t when `rows` rows are split into the fewest tiles of
+/// at most kMr rows, spread evenly: 5 -> 5, 10 -> 5+5, 19 -> 5+5+5+4,
+/// 38 -> 6+6+6+5+5+5+5.
+int tile_rows(int rows, int t) {
+    const int tiles = (rows + kMr - 1) / kMr;
+    return rows / tiles + (t < rows % tiles ? 1 : 0);
 }
 
 /// Packed kernel over a row range [row_begin, row_end) of C.
 void packed_rows(const GemmArgs& g, int row_begin, int row_end) {
     if (row_begin >= row_end || g.n <= 0) return;
     if (g.k <= 0) {
-        // Degenerate k: C = alpha*0 + beta*C, same expression as gemm_naive.
+        // Degenerate k: acc is 0; the same expressions as gemm_naive.
         for (int i = row_begin; i < row_end; ++i) {
             float* crow = g.c + static_cast<std::int64_t>(i) * g.ldc;
-            for (int j = 0; j < g.n; ++j) crow[j] = g.alpha * 0.0f + g.beta * crow[j];
+            for (int j = 0; j < g.n; ++j) {
+                crow[j] = g.beta == 0.0f ? g.alpha * 0.0f
+                                         : g.alpha * 0.0f + g.beta * crow[j];
+            }
         }
         return;
     }
     // Fetched once per row range: null on the scalar level (the reference
-    // loops below stay the kernel), the FMA tile on AVX2. Every tile with 16
+    // loop below stays the kernel), the FMA tile on AVX2. Every tile with 16
     // full columns dispatches, whatever its row count; only the n % 16 column
-    // tail takes the scalar edge path.
+    // tail takes the scalar loop.
     const auto micro_simd = simd::kernels().gemm_micro_rx16;
+    const int rows = row_end - row_begin;
     float* ap = a_scratch(static_cast<std::size_t>(kMr) * std::max(1, g.k));
     if (!g.trans_b) {
-        for (int i0 = row_begin; i0 < row_end; i0 += kMr) {
-            const int mr = std::min(kMr, row_end - i0);
+        for (int i0 = row_begin, t = 0; i0 < row_end; ++t) {
+            const int mr = tile_rows(rows, t);
             pack_a(g, i0, mr, ap);
             int j0 = 0;
             if (micro_simd != nullptr) {
@@ -176,12 +179,13 @@ void packed_rows(const GemmArgs& g, int row_begin, int row_end) {
                                g.c + static_cast<std::int64_t>(i0) * g.ldc + j0,
                                g.ldc, mr);
                 }
-            } else if (mr == kMr) {
-                for (; j0 + kNr <= g.n; j0 += kNr) micro_full(g, ap, g.b + j0, g.ldb, i0, j0);
+            } else {
+                for (; j0 + kNr <= g.n; j0 += kNr) {
+                    micro_tile<kNr>(g, ap, g.b + j0, g.ldb, i0, j0, mr, kNr);
+                }
             }
-            for (; j0 < g.n; j0 += kNr) {
-                micro_edge(g, ap, g.b + j0, g.ldb, i0, j0, mr, std::min(kNr, g.n - j0));
-            }
+            if (j0 < g.n) micro_tile<0>(g, ap, g.b + j0, g.ldb, i0, j0, mr, g.n - j0);
+            i0 += mr;
         }
     } else {
         // op(B) columns are strided in memory; pack one k x kNr panel at a
@@ -191,18 +195,19 @@ void packed_rows(const GemmArgs& g, int row_begin, int row_end) {
         for (int j0 = 0; j0 < g.n; j0 += kNr) {
             const int nr = std::min(kNr, g.n - j0);
             pack_b(g, j0, nr, bp);
-            for (int i0 = row_begin; i0 < row_end; i0 += kMr) {
-                const int mr = std::min(kMr, row_end - i0);
+            for (int i0 = row_begin, t = 0; i0 < row_end; ++t) {
+                const int mr = tile_rows(rows, t);
                 pack_a(g, i0, mr, ap);
                 if (nr == kNr && micro_simd != nullptr) {
                     micro_simd(ap, bp, kNr, g.k, g.alpha, g.beta,
                                g.c + static_cast<std::int64_t>(i0) * g.ldc + j0,
                                g.ldc, mr);
-                } else if (nr == kNr && mr == kMr) {
-                    micro_full(g, ap, bp, kNr, i0, j0);
+                } else if (nr == kNr) {
+                    micro_tile<kNr>(g, ap, bp, kNr, i0, j0, mr, kNr);
                 } else {
-                    micro_edge(g, ap, bp, kNr, i0, j0, mr, nr);
+                    micro_tile<0>(g, ap, bp, kNr, i0, j0, mr, nr);
                 }
+                i0 += mr;
             }
         }
     }
@@ -217,7 +222,7 @@ void gemm_naive(const GemmArgs& g) {
             float acc = 0.0f;
             for (int p = 0; p < g.k; ++p) acc += a_elem(g, i, p) * b_elem(g, p, j);
             float& c = g.c[static_cast<std::int64_t>(i) * g.ldc + j];
-            c = g.alpha * acc + g.beta * c;
+            c = g.beta == 0.0f ? g.alpha * acc : g.alpha * acc + g.beta * c;
         }
     }
 }

@@ -7,8 +7,9 @@
 //                           truth and by the ablation bench (DESIGN.md #2).
 //   * gemm_blocked        - packed micro-kernel; the production kernel. Packs
 //                           A panels (and B panels when trans_b) into
-//                           thread-local scratch and runs a 4x16
-//                           register-tiled inner loop. Bit-exact with
+//                           thread-local scratch and runs a register-
+//                           tiled inner loop over tiles of up to 6x16,
+//                           rows spread evenly across tiles. Bit-exact with
 //                           gemm_naive: each C element accumulates over k in
 //                           the same order, so the results are identical
 //                           floats, not merely close.
@@ -18,7 +19,9 @@
 //
 // All kernels compute, for row-major matrices:
 //   C = alpha * op(A) * op(B) + beta * C
-// where op transposes when the corresponding flag is set.
+// where op transposes when the corresponding flag is set. beta == 0 writes
+// alpha * op(A) * op(B) without reading C (the BLAS convention), so NaN or
+// Inf left in C from an earlier call does not survive into the result.
 // A is M x K, B is K x N, C is M x N (after op).
 #pragma once
 

@@ -1,11 +1,17 @@
 // Convolutional layer: geometry, im2col-GEMM forward vs the direct
-// reference, full numerical gradient checks (weights, bias, input; with and
+// reference, the column-blocked forward vs one whole-matrix lowering (bit for
+// bit), full numerical gradient checks (weights, bias, input; with and
 // without batch norm), and batch-norm folding equivalence.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "nn/network.hpp"
+#include "simd/dispatch.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/im2col.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
 
 namespace dronet {
@@ -89,6 +95,103 @@ TEST(ConvLayer, OneByOneFastPathMatchesDirect) {
     conv.forward_direct(in, direct);
     for (std::int64_t i = 0; i < direct.size(); ++i) {
         EXPECT_NEAR(direct[i], conv.output()[i], 1e-4f);
+    }
+}
+
+// The fp32 forward without column blocks: lower each batch item's whole col
+// matrix with im2col, run one `gemm_fn` over it, then the layer's eval-mode
+// epilogue (batch norm with the rolling statistics, bias, activation).
+template <typename GemmFn>
+Tensor whole_lowering_forward(ConvolutionalLayer& conv, const Tensor& in,
+                              GemmFn gemm_fn) {
+    const ConvConfig& cfg = conv.config();
+    const Shape& is = in.shape();
+    const Shape& os = conv.output_shape();
+    const ConvGeometry geo{is.c, is.h, is.w, cfg.ksize, cfg.stride, cfg.pad};
+    const int k = geo.col_rows();
+    const int n = geo.col_cols();
+    std::vector<float> col(static_cast<std::size_t>(k) * n);
+    Tensor out(os);
+    for (int b = 0; b < is.n; ++b) {
+        im2col(in.data() + b * is.chw(), geo, col.data());
+        gemm_fn(GemmArgs{false, false, cfg.filters, n, k, 1.0f, conv.weights().v.data(), k,
+                         col.data(), n, 0.0f, out.data() + b * os.chw(), n});
+    }
+    const int spatial = static_cast<int>(os.hw());
+    if (cfg.batch_normalize) {
+        normalize_channels(out.span(), conv.rolling_mean(), conv.rolling_variance(), os.n,
+                           os.c, spatial, 1e-5f);  // the layer's batch-norm epsilon
+        scale_channels(out.span(), conv.scales().v, os.n, os.c, spatial);
+    }
+    add_channel_bias(out.span(), conv.biases().v, os.n, os.c, spatial);
+    apply_activation(cfg.activation, out.span());
+    return out;
+}
+
+struct BlockCase {
+    int c, h, w;
+    int ksize, stride, pad;
+};
+
+// The forward lowers and multiplies one cache-sized column block at a time.
+// Its output must be the bits of one whole-matrix lowering and gemm (and, on
+// the scalar level, of gemm_naive): blocks start at multiples of 16, so every
+// column keeps its 16-column GEMM tile. Shapes cover n below 16, n = 16q +- 1,
+// and n spanning several blocks whose edges fall inside an output row, with a
+// short last block.
+TEST(ConvLayer, BlockedForwardMatchesWholeLowering) {
+    const BlockCase cases[] = {
+        {3, 64, 64, 3, 1, 1},  // 27 x 4096: blocks of 2416, last 1680
+        {3, 63, 65, 3, 1, 1},  // 27 x 4095: last block 1679, a 15-column tail
+        {8, 64, 62, 3, 2, 1},  // 72 x 992: blocks of 896 at stride 2
+        {5, 40, 40, 5, 1, 2},  // 125 x 1600: four blocks, 5x5 taps
+        {2, 3, 3, 3, 1, 1},    // n = 9
+        {4, 7, 7, 1, 1, 1},    // padded 1x1: n = 81 = 16*5 + 1
+        {3, 7, 9, 3, 1, 1},    // n = 63 = 16*4 - 1
+        {2, 13, 13, 5, 2, 2},  // n = 49 = 16*3 + 1
+        {3, 17, 17, 3, 2, 0},  // n = 64, stride 2 without padding
+        {3, 10, 10, 3, 1, 0},  // n = 64
+        {2, 6, 6, 3, 1, 2},    // pad 2 on a 3x3: rows and runs wholly in padding
+    };
+    for (const simd::SimdLevel level : {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2}) {
+        const simd::ScopedSimdLevel pin(level);
+        std::uint64_t seed = 300;
+        for (const BlockCase& bc : cases) {
+            for (const int filters : {1, 5, 6, 7, 12, 13}) {
+                for (const int batch : {1, 3}) {
+                    for (const bool bn : {false, true}) {
+                        Network net(tiny_net_config(bc.c, bc.h, bc.w, batch));
+                        auto& conv = net.add_conv({.filters = filters, .ksize = bc.ksize,
+                                                   .stride = bc.stride, .pad = bc.pad,
+                                                   .batch_normalize = bn,
+                                                   .activation = Activation::kLeaky});
+                        Rng rng(++seed);
+                        rng.fill_uniform(conv.biases().v, -0.5f, 0.5f);
+                        if (bn) {
+                            rng.fill_uniform(conv.rolling_mean(), -0.5f, 0.5f);
+                            rng.fill_uniform(conv.rolling_variance(), 0.5f, 1.5f);
+                            rng.fill_uniform(conv.scales().v, 0.5f, 1.5f);
+                        }
+                        Tensor in(net.input_shape());
+                        randomize_input(in, seed);
+                        net.forward(in);
+                        const Tensor& got = conv.output();
+                        const auto bytes = static_cast<std::size_t>(got.size()) * sizeof(float);
+                        const Tensor whole = whole_lowering_forward(
+                            conv, in, [](const GemmArgs& g) { gemm_blocked(g); });
+                        ASSERT_EQ(std::memcmp(got.data(), whole.data(), bytes), 0)
+                            << simd::to_string(level) << " " << conv.describe()
+                            << " batch " << batch;
+                        if (level == simd::SimdLevel::kScalar) {
+                            const Tensor naive = whole_lowering_forward(
+                                conv, in, [](const GemmArgs& g) { gemm_naive(g); });
+                            ASSERT_EQ(std::memcmp(got.data(), naive.data(), bytes), 0)
+                                << "gemm_naive " << conv.describe() << " batch " << batch;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -7,7 +7,9 @@
 // rounding and is tolerance-gated instead (test_simd.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -127,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{64, 100, 72, false, false, 1.0f, 0.0f},
         GemmCase{3, 300, 150, false, false, 1.0f, 0.0f},
         GemmCase{130, 5, 260, false, false, 1.0f, 1.0f},
-        // Edge shapes around the 4x16 register tile: one under/over each
+        // Edge shapes around the 6x16 register tile: one under/over each
         // boundary, single rows/columns, and a DroNet-like wide-N case.
         GemmCase{5, 17, 3, false, false, 1.0f, 0.0f},
         GemmCase{4, 16, 1, false, false, 1.0f, 0.0f},
@@ -146,7 +148,7 @@ TEST(GemmRows, IndependentOfRowCountAndTilePosition) {
     for (const simd::SimdLevel level : {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2}) {
         const simd::ScopedSimdLevel pin(level);
         Rng rng(43);
-        for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 19, 38}) {
+        for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 19, 30, 38}) {
             for (const int k : {5, 27, 171}) {
                 for (const int n : {16, 33, 80}) {
                     for (const bool tb : {false, true}) {
@@ -185,12 +187,51 @@ TEST(Gemm, IdentityMultiplication) {
     expect_near(b, c);
 }
 
+// beta == 0 never reads C: a NaN or Inf an earlier call left there must not
+// survive (0 * NaN is NaN). Checked at both levels on a 16-column tile and
+// the n % 16 tail column, and for the degenerate k == 0.
 TEST(Gemm, BetaZeroOverwritesGarbage) {
     const std::vector<float> a = {1, 2};
     const std::vector<float> b = {3, 4};
     std::vector<float> c = {1e30f};
     gemm(false, false, 1, 1, 2, 1.0f, a.data(), 2, b.data(), 1, 0.0f, c.data(), 1);
     EXPECT_FLOAT_EQ(c[0], 11.0f);
+
+    constexpr int m = 5;
+    constexpr int n = 17;
+    const float garbage[] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(), 1e30f};
+    for (const simd::SimdLevel level : {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2}) {
+        const simd::ScopedSimdLevel pin(level);
+        for (const int k : {0, 9}) {
+            Rng rng(47);
+            const auto am = random_matrix(rng, m, std::max(1, k));
+            const auto bm = random_matrix(rng, std::max(1, k), n);
+            const int lda = std::max(1, k);
+            std::vector<float> clean(static_cast<std::size_t>(m) * n, 0.0f);
+            std::vector<float> clean_naive = clean;
+            gemm(false, false, m, n, k, 1.0f, am.data(), lda, bm.data(), n, 0.0f,
+                 clean.data(), n);
+            gemm_naive({false, false, m, n, k, 1.0f, am.data(), lda, bm.data(), n, 0.0f,
+                        clean_naive.data(), n});
+            for (const float g : garbage) {
+                std::vector<float> dirty(clean.size(), g);
+                std::vector<float> dirty_naive(clean.size(), g);
+                gemm(false, false, m, n, k, 1.0f, am.data(), lda, bm.data(), n, 0.0f,
+                     dirty.data(), n);
+                gemm_naive({false, false, m, n, k, 1.0f, am.data(), lda, bm.data(), n,
+                            0.0f, dirty_naive.data(), n});
+                ASSERT_EQ(std::memcmp(clean.data(), dirty.data(), clean.size() * sizeof(float)),
+                          0)
+                    << simd::to_string(level) << " k=" << k << " C held " << g;
+                ASSERT_EQ(std::memcmp(clean_naive.data(), dirty_naive.data(),
+                                      clean.size() * sizeof(float)),
+                          0)
+                    << "gemm_naive k=" << k << " C held " << g;
+            }
+        }
+    }
 }
 
 TEST(Gemm, AlphaScaling) {

@@ -2,11 +2,15 @@
 // parameter space rather than at single points.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "detect/nms.hpp"
 #include "eval/score.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/cfg.hpp"
 #include "platform/platform_model.hpp"
+#include "simd/dispatch.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
 
@@ -86,7 +90,9 @@ TEST(Determinism, ForwardIsReproducible) {
     for (std::int64_t i = 0; i < oa.size(); ++i) ASSERT_EQ(oa[i], ob[i]);
 }
 
-// --- Threaded GEMM does not change network output. ---------------------------
+// --- Threaded GEMM does not change network output, bit for bit. -------------
+// Each C row is computed by one thread, in the same order, and a row does not
+// depend on the height of its tile; the lowering writes each row once.
 TEST(Determinism, GemmThreadCountDoesNotChangeResults) {
     Network net = build_model(ModelId::kSmallYoloV3,
                               {.input_size = 64, .filter_scale = 0.25f});
@@ -96,12 +102,44 @@ TEST(Determinism, GemmThreadCountDoesNotChangeResults) {
     set_gemm_threads(1);
     net.forward(in);
     const Tensor serial = net.region()->output();
-    set_gemm_threads(3);
-    net.forward(in);
-    const Tensor threaded = net.region()->output();
-    set_gemm_threads(1);
-    for (std::int64_t i = 0; i < serial.size(); ++i) {
-        ASSERT_NEAR(serial[i], threaded[i], 1e-5f);
+    for (const int threads : {2, 3, 4}) {
+        set_gemm_threads(threads);
+        net.forward(in);
+        const Tensor& threaded = net.region()->output();
+        set_gemm_threads(1);
+        ASSERT_EQ(threaded.shape(), serial.shape());
+        ASSERT_EQ(std::memcmp(serial.data(), threaded.data(),
+                              static_cast<std::size_t>(serial.size()) * sizeof(float)),
+                  0)
+            << threads << " threads, " << simd::to_string(simd::active_level());
+    }
+}
+
+// --- A non-finite frame does not poison later forwards. -----------------------
+// Every conv writes its output with beta == 0 over the previous frame's values;
+// reading them (0 * NaN is NaN) would carry one frame's NaN or Inf into every
+// later forward of the same network.
+TEST(Determinism, NonFiniteFrameDoesNotPoisonLaterForwards) {
+    for (const simd::SimdLevel level : {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2}) {
+        const simd::ScopedSimdLevel pin(level);
+        Network fresh = build_model(ModelId::kDroNet, {.input_size = 64});
+        Tensor clean(fresh.input_shape());
+        Rng rng(9);
+        rng.fill_uniform(clean.span(), 0.0f, 1.0f);
+        const Tensor expected = fresh.forward(clean);
+        for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity()}) {
+            Network net = build_model(ModelId::kDroNet, {.input_size = 64});
+            Tensor poisoned = clean;
+            poisoned[1000] = bad;
+            net.forward(poisoned);
+            const Tensor& out = net.forward(clean);
+            ASSERT_EQ(out.shape(), expected.shape());
+            ASSERT_EQ(std::memcmp(out.data(), expected.data(),
+                                  static_cast<std::size_t>(out.size()) * sizeof(float)),
+                      0)
+                << simd::to_string(level) << ", frame before held " << bad;
+        }
     }
 }
 

@@ -4,7 +4,11 @@
 // with the per-layer profiler enabled, and prints where the time went:
 // wall-time, share-of-total and achieved GFLOP/s per layer, plus the
 // end-to-end forward time the per-layer numbers are checked against
-// (the JSON "coverage" field; see docs/performance.md).
+// (the JSON "coverage" field; see docs/performance.md). The text report
+// ends with the host's calibrated GEMM rate (calibrate_host_platform) and
+// each conv layer's achieved GFLOP/s as a share of it: with the layer's share
+// of the forward, the gap to that rate picks the next layer worth speeding
+// up.
 //
 // Usage:
 //   profile models/DroNet.cfg [--json] [--runs N] [--warmup N]
@@ -23,7 +27,9 @@
 #include "models/pretrained.hpp"
 #include "nn/cfg.hpp"
 #include "nn/weights_io.hpp"
+#include "platform/platform_model.hpp"
 #include "profile/profiler.hpp"
+#include "simd/dispatch.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
 
@@ -116,6 +122,16 @@ int main(int argc, char** argv) {
                         net.config().width, net.config().height,
                         net.config().channels, runs, gemm_threads());
             std::printf("%s", prof->report_text().c_str());
+            const PlatformSpec host = calibrate_host_platform();
+            std::printf("host GEMM %.2f GFLOP/s at %s; conv achieved/attainable:",
+                        host.effective_gflops, simd::to_string(simd::active_level()));
+            for (const profile::LayerStat& s : prof->layers()) {
+                if (s.calls == 0 || net.layer(s.index).kind() != LayerKind::kConvolutional) {
+                    continue;
+                }
+                std::printf(" L%d %.0f%%", s.index, 100.0 * s.gflops() / host.effective_gflops);
+            }
+            std::printf("\n");
         }
         return 0;
     } catch (const std::exception& e) {
